@@ -25,7 +25,6 @@ from .rings import (
     NotPIntegral,
     PrimeFieldRing,
     QQ,
-    Rational,
     RationalRing,
     p_valuation,
     reduce_mod_p,

@@ -3,9 +3,10 @@
 Values are stored as the canonical JSON next to a manifest of sha256
 digests.  Loading re-checks the digest and then re-runs the quick defining
 checks (generator annihilation and identity coefficient for projectors; the
-scalar table, closure value, and integrality for decomposition totals), so a
-corrupted or tampered file surfaces as CacheIntegrityError rather than as
-wrong math.  Trust, but verify.
+identity coefficient, closure value, and p-integrality, or the field's prime
+over F_p, for decomposition totals), so a corrupted or tampered file
+surfaces as CacheIntegrityError rather than as wrong math.  Trust, but
+verify.
 """
 
 from __future__ import annotations
@@ -95,15 +96,18 @@ class DiskCache:
             if not ok:
                 raise CacheIntegrityError(f"defining checks failed for {name}")
         elif kind == "pjw":
+            ring = value.ring
             if ring_name == QQ.name:
-                data = p_support(n, p)
-                expected = Fraction(sum((-1) ** i * (i + 1) for i in data.shifted))
-                ok = (
-                    value.identity_coefficient() == Fraction(1)
-                    and markov_trace(value) == expected
-                    and all(p_valuation(c, p) >= 0 for c in value.terms.values())
-                )
-                if not ok:
-                    raise CacheIntegrityError(f"defining checks failed for {name}")
+                integral = all(p_valuation(c, p) >= 0 for c in value.terms.values())
+            else:
+                integral = ring.p == p
+            closure = sum((-1) ** i * (i + 1) for i in p_support(n, p).shifted)
+            ok = (
+                integral
+                and value.identity_coefficient() == ring.one
+                and markov_trace(value) == ring.from_rational(Fraction(closure))
+            )
+            if not ok:
+                raise CacheIntegrityError(f"defining checks failed for {name}")
         else:
             raise CacheIntegrityError(f"unknown cache kind {kind!r}")

@@ -15,10 +15,17 @@ from fractions import Fraction
 
 from .cache import CacheIntegrityError, DiskCache, default_cache_dir
 from .hecke import lemma_positivity_check, p_canonical
-from .jw import GLOBAL_JW_CACHE, jones_wenzl, sandwich_test, close_jw
+from .jw import (
+    GLOBAL_JW_CACHE,
+    JWVerificationError,
+    close_jw,
+    jones_wenzl,
+    sandwich_test,
+)
 from .padic import is_prime, lucas_jw_defined, p_support, support_via_admissible
 from .pjw import (
     GLOBAL_CACHES,
+    PJWIntegrityError,
     rational_pjw,
     reduce_pjw,
     verify_battery,
@@ -162,9 +169,12 @@ def cmd_verify(args) -> int:
                 if cached is not None and cached != jones_wenzl(n, QQ):
                     record("jw_cache_consistent", n, False, "cache value differs")
                     continue
-            value = jones_wenzl(n, QQ)
+            jones_wenzl(n, QQ)
         except CacheIntegrityError as exc:
             record("jw_cache_integrity", n, False, str(exc))
+            continue
+        except JWVerificationError as exc:
+            record("jw_defined", n, False, str(exc))
             continue
         record("jw_defined", n, True)
         record(
@@ -173,8 +183,12 @@ def cmd_verify(args) -> int:
             lucas_jw_defined(n, p)
             == _fp_defined(n, p),
         )
-        closed, lam = close_jw(n, min(1, n))
-        record("jw_closure_step", n, True, f"lambda {lam}")
+        try:
+            _, lam = close_jw(n, min(1, n))
+        except JWVerificationError as exc:
+            record("jw_closure_step", n, False, str(exc))
+        else:
+            record("jw_closure_step", n, True, f"lambda {lam}")
 
     # sandwiches (small range; exhaustive inside)
     sandwich_limit = 6 if quick else 8
@@ -320,6 +334,9 @@ def main(argv=None) -> int:
         return EXIT_UNDEFINED
     except CacheIntegrityError as exc:
         print(f"cache integrity failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
+    except (JWVerificationError, PJWIntegrityError) as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -90,15 +90,11 @@ class JWCache:
 GLOBAL_JW_CACHE = JWCache()
 
 
-def _ladder_matching(k: int, j: int, pad: int) -> tl.CrossinglessMatching:
-    """The diagram e_{k-1} e_{k-2} ... e_j in TL_k, padded by pad strands."""
-    return _ladder_matching_cached(k, j, pad)
-
-
 _LADDER: dict[tuple[int, int, int], tl.CrossinglessMatching] = {}
 
 
-def _ladder_matching_cached(k: int, j: int, pad: int):
+def _ladder_matching(k: int, j: int, pad: int) -> tl.CrossinglessMatching:
+    """The diagram e_{k-1} e_{k-2} ... e_j in TL_k, padded by pad strands."""
     key = (k, j, pad)
     m = _LADDER.get(key)
     if m is None:
@@ -135,8 +131,7 @@ def jones_wenzl(n: int, ring=QQ, cache: Optional[JWCache] = None) -> TLMorphism:
             raise NonInvertible(
                 f"JW_{n} is not defined over F_{ring.p}: {exc}"
             ) from exc
-        terms = {m: c for m, c in terms.items() if c}
-        value = TLMorphism(n, n, ring, terms)
+        value = TLMorphism(n, n, ring, ring.clean(terms))
         return cache.insert(ring, n, value)
 
     # rational construction, one strand at a time
@@ -177,12 +172,16 @@ def apply_jw(
     * if x is verified to be annihilated by e_1..e_{k-1} on top, the
       projector acts as the identity (every non-identity diagram of JW_k
       factors through a generator, so it kills x);
-    * if the pairwise product is small, compose directly with the cached
-      projector;
+    * if the pairwise product is small, or x is not over Q, compose
+      directly with the cached projector;
     * otherwise apply the one-new-strand expansion layer by layer.  A
       verified annihilation bound h (e_i o x == 0 for i < h) prunes layer
       terms: the bound drops by at most one per layer, so skipped terms are
       genuinely zero.
+
+    The expansion's scalars j/layer can have p in the denominator even when
+    JW_k exists over F_p, so over F_p only the direct path is exact; it
+    raises NonInvertible when JW_k is undefined there.
     """
     if x.top != k + pad:
         raise ValueError(f"apply_jw: expected top {k + pad}, got {x.top}")
@@ -196,7 +195,7 @@ def apply_jw(
     # or layer by layer (intermediate supports stay inside Hom(bottom, top))
     direct_cost = len(x.terms) * catalan(k)
     ladder_cost = (k * k // 2) * catalan((x.bottom + x.top) // 2)
-    if direct_cost <= min(ladder_cost, DIRECT_BUDGET):
+    if x.ring is not QQ or direct_cost <= min(ladder_cost, DIRECT_BUDGET):
         jw = jones_wenzl(k, x.ring, cache)
         if pad:
             jw = tensor_with_identity(jw, pad)

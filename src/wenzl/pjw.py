@@ -272,15 +272,13 @@ def reduce_pjw(dec: PJWDecomposition) -> TLMorphism:
     out = {}
     for mm, c in dec.total.terms.items():
         try:
-            r = ring.from_rational(c)
+            out[mm] = ring.from_rational(c)
         except NotPIntegral as exc:
             raise PJWIntegrityError(
                 f"coefficient {c} of the ({dec.prime}, {dec.n}) projector "
                 f"is not {dec.prime}-integral"
             ) from exc
-        if r:
-            out[mm] = r
-    return TLMorphism(dec.n, dec.n, ring, out)
+    return TLMorphism(dec.n, dec.n, ring, ring.clean(out))
 
 
 def markov_closure(dec: PJWDecomposition) -> Fraction:

@@ -7,10 +7,13 @@ lacks: p-adic valuation, reduction modulo p, a prime-field element type, and
 integer-coefficient Laurent polynomials in one variable v.
 
 Diagram-valued linear algebra elsewhere in the package is generic over a
-small *ring adapter* object (RationalRing / PrimeFieldRing) that knows how to
-add, multiply, compare, parse and print coefficients.  Over F_p the adapter
-works on plain int residues, which keeps inner loops cheap; the FpElement
-class is the convenient value type for user-facing arithmetic.
+small *ring adapter* object (RationalRing / PrimeFieldRing).  Coefficients are
+combined with the plain ``+`` and ``*`` of their Python type; the adapter
+holds the one ring-dependent step, normalising the result (``reduce`` for a
+scalar, ``clean`` for an accumulated coefficient map), plus conversion,
+parsing and printing.  Over F_p the adapter works on plain int residues, which
+keeps inner loops cheap; the FpElement class is the convenient value type for
+user-facing arithmetic.
 
 No floating point anywhere.
 """
@@ -22,13 +25,6 @@ from fractions import Fraction
 from typing import Union
 
 from .padic import is_prime
-
-try:  # exact rational arithmetic; gmpy2 is several times faster than Fraction
-    from gmpy2 import mpq as _rational
-except ImportError:  # pragma: no cover
-    _rational = Fraction
-
-Rational = Fraction
 
 
 class NotPIntegral(ArithmeticError):
@@ -215,42 +211,33 @@ class LaurentPoly:
 
 
 class RationalRing:
-    """Adapter exposing exact rational arithmetic to the ring-generic code.
-
-    Values are gmpy2.mpq when available (hash- and equality-compatible with
-    Fraction, several times faster) and Fraction otherwise.
-    """
+    """Adapter exposing exact rational (``Fraction``) arithmetic."""
 
     name = "Q"
 
-    zero = _rational(0)
-    one = _rational(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     @staticmethod
     def from_int(k: int) -> Fraction:
-        return _rational(k)
+        return Fraction(k)
 
     @staticmethod
-    def fraction(num: int, den: int = 1):
-        return _rational(num, den)
+    def fraction(num: int, den: int = 1) -> Fraction:
+        return Fraction(num, den)
 
     @staticmethod
-    def add(a, b):
-        return a + b
+    def from_rational(x: Fraction) -> Fraction:
+        return x
 
     @staticmethod
-    def mul(a, b):
-        return a * b
+    def reduce(x):
+        return x
 
     @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def inv(a):
-        if a == 0:
-            raise NonInvertible("0 has no inverse in Q")
-        return 1 / a
+    def clean(acc: dict) -> dict:
+        """An accumulated coefficient map with its zero entries dropped."""
+        return {k: v for k, v in acc.items() if v}
 
     @staticmethod
     def format(a) -> str:
@@ -259,8 +246,8 @@ class RationalRing:
         return f"{a.numerator}/{a.denominator}"
 
     @staticmethod
-    def parse(s: str):
-        return _rational(Fraction(s))
+    def parse(s: str) -> Fraction:
+        return Fraction(s)
 
     def __repr__(self) -> str:
         return "RationalRing()"
@@ -280,23 +267,17 @@ class PrimeFieldRing:
     def from_int(self, k: int) -> int:
         return k % self.p
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise NonInvertible(f"0 has no inverse in F_{self.p}")
-        return pow(a, -1, self.p)
-
     def from_rational(self, x: Fraction) -> int:
         """Reduce a p-integral rational; NotPIntegral if p divides the denominator."""
         return reduce_mod_p(x, self.p).residue
+
+    def reduce(self, x: int) -> int:
+        return x % self.p
+
+    def clean(self, acc: dict) -> dict:
+        """An accumulated map of unreduced ints, reduced mod p, zeros dropped."""
+        p = self.p
+        return {k: r for k, v in acc.items() if (r := v % p)}
 
     def format(self, a: int) -> str:
         return str(a % self.p)

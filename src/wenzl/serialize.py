@@ -23,20 +23,11 @@ Hecke elements: {"terms": [{"k": k, "coeff": {"<exponent>": coeff, ...}}]}.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any
 
 from .hecke import HeckeElement
 from .rings import LaurentPoly, QQ, ring_by_name
 from .tl import TLMorphism, matching
-
-
-def format_rational(x: Fraction) -> str:
-    return QQ.format(x)
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def morphism_to_dict(f: TLMorphism) -> dict[str, Any]:
@@ -76,7 +67,7 @@ def decomposition_to_dict(dec) -> dict[str, Any]:
         terms.append(
             {
                 "i": i,
-                "lambda": format_rational(t.lam),
+                "lambda": QQ.format(t.lam),
                 "p_map": morphism_to_dict(t.p_map),
                 "u": morphism_to_dict(t.u),
             }

@@ -22,13 +22,10 @@ table tolerates concurrent use.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Union
+from typing import Iterable
 
-from .rings import PrimeFieldRing, QQ, RationalRing
-
-Coeff = Union[Fraction, int]
+from .rings import QQ
 
 
 def catalan(k: int) -> int:
@@ -89,12 +86,6 @@ class CrossinglessMatching:
         """
         n, m = self.bottom, self.top
         for lab in range(n, n + m - 1):
-            if self.partner[lab] == lab + 1:
-                return True
-        return False
-
-    def has_adjacent_bottom_arc(self) -> bool:
-        for lab in range(self.bottom - 1):
             if self.partner[lab] == lab + 1:
                 return True
         return False
@@ -432,43 +423,25 @@ class TLMorphism:
 
     def add(self, other: "TLMorphism") -> "TLMorphism":
         self._check_like(other)
-        ring = self.ring
-        if isinstance(ring, PrimeFieldRing):
-            p = ring.p
-            out = dict(self.terms)
-            for k, c in other.terms.items():
-                s = (out.get(k, 0) + c) % p
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        else:
-            out = dict(self.terms)
-            for k, c in other.terms.items():
-                s = out.get(k)
-                s = c if s is None else s + c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return TLMorphism(self.bottom, self.top, ring, out)
+        reduce = self.ring.reduce
+        out = dict(self.terms)
+        get = out.get
+        # normalise only the touched entries: other is often much smaller
+        for k, c in other.terms.items():
+            prev = get(k)
+            s = reduce(c if prev is None else prev + c)
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        return TLMorphism(self.bottom, self.top, self.ring, out)
 
     def sub(self, other: "TLMorphism") -> "TLMorphism":
         return self.add(other.scale(self.ring.from_int(-1)))
 
     def scale(self, c) -> "TLMorphism":
         ring = self.ring
-        if not c:
-            return TLMorphism.zero(self.bottom, self.top, ring)
-        if isinstance(ring, PrimeFieldRing):
-            p = ring.p
-            out = {}
-            for k, v in self.terms.items():
-                s = (v * c) % p
-                if s:
-                    out[k] = s
-        else:
-            out = {k: v * c for k, v in self.terms.items()}
+        out = ring.clean({k: v * c for k, v in self.terms.items()})
         return TLMorphism(self.bottom, self.top, ring, out)
 
     def _check_like(self, other: "TLMorphism") -> None:
@@ -488,18 +461,14 @@ class TLMorphism:
     def tensor(self, other: "TLMorphism") -> "TLMorphism":
         if self.ring.name != other.ring.name:
             raise ValueError("tensor needs a common coefficient ring")
-        ring = self.ring
-        fp = isinstance(ring, PrimeFieldRing)
-        out: dict = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                c = ca * cb
-                if fp:
-                    c = c % ring.p
-                if c:
-                    out[matching_tensor(ma, mb)] = c
+        out = {
+            matching_tensor(ma, mb): ca * cb
+            for ma, ca in self.terms.items()
+            for mb, cb in other.terms.items()
+        }
         return TLMorphism(
-            self.bottom + other.bottom, self.top + other.top, ring, out
+            self.bottom + other.bottom, self.top + other.top, self.ring,
+            self.ring.clean(out),
         )
 
     def flip(self) -> "TLMorphism":
@@ -524,26 +493,15 @@ def compose(g: TLMorphism, f: TLMorphism) -> TLMorphism:
     pw = _loop_factors(ring, maxr)
     out: dict = {}
     get = out.get
-    if isinstance(ring, PrimeFieldRing):
-        p = ring.p
-        for mf, cf in f.terms.items():
-            for mg, cg in g.terms.items():
-                key, r = matching_compose(mg, mf)
-                c = cf * cg * pw[r]
-                prev = get(key)
-                out[key] = c if prev is None else prev + c
-        out = {k: v % p for k, v in out.items() if v % p}
-    else:
-        for mf, cf in f.terms.items():
-            for mg, cg in g.terms.items():
-                key, r = matching_compose(mg, mf)
-                c = cf * cg
-                if r:
-                    c = c * pw[r]
-                prev = get(key)
-                out[key] = c if prev is None else prev + c
-        out = {k: v for k, v in out.items() if v}
-    return TLMorphism(f.bottom, g.top, ring, out)
+    for mf, cf in f.terms.items():
+        for mg, cg in g.terms.items():
+            key, r = matching_compose(mg, mf)
+            c = cf * cg
+            if r:
+                c = c * pw[r]
+            prev = get(key)
+            out[key] = c if prev is None else prev + c
+    return TLMorphism(f.bottom, g.top, ring, ring.clean(out))
 
 
 def apply_matching_left(
@@ -558,25 +516,14 @@ def apply_matching_left(
     out: dict = {}
     get = out.get
     mc = matching_compose
-    if isinstance(ring, PrimeFieldRing):
-        p = ring.p
-        s = 1 if scalar is None else scalar
-        for mf, cf in x.terms.items():
-            key, r = mc(d, mf)
-            c = cf * s * pw[r]
-            prev = get(key)
-            out[key] = c if prev is None else prev + c
-        out = {k: v % p for k, v in out.items() if v % p}
-    else:
-        for mf, cf in x.terms.items():
-            key, r = mc(d, mf)
-            c = cf if scalar is None else cf * scalar
-            if r:
-                c = c * pw[r]
-            prev = get(key)
-            out[key] = c if prev is None else prev + c
-        out = {k: v for k, v in out.items() if v}
-    return TLMorphism(x.bottom, d.top, ring, out)
+    for mf, cf in x.terms.items():
+        key, r = mc(d, mf)
+        c = cf if scalar is None else cf * scalar
+        if r:
+            c = c * pw[r]
+        prev = get(key)
+        out[key] = c if prev is None else prev + c
+    return TLMorphism(x.bottom, d.top, ring, ring.clean(out))
 
 
 def apply_matching_right(
@@ -591,25 +538,14 @@ def apply_matching_right(
     out: dict = {}
     get = out.get
     mc = matching_compose
-    if isinstance(ring, PrimeFieldRing):
-        p = ring.p
-        s = 1 if scalar is None else scalar
-        for mf, cf in x.terms.items():
-            key, r = mc(mf, d)
-            c = cf * s * pw[r]
-            prev = get(key)
-            out[key] = c if prev is None else prev + c
-        out = {k: v % p for k, v in out.items() if v % p}
-    else:
-        for mf, cf in x.terms.items():
-            key, r = mc(mf, d)
-            c = cf if scalar is None else cf * scalar
-            if r:
-                c = c * pw[r]
-            prev = get(key)
-            out[key] = c if prev is None else prev + c
-        out = {k: v for k, v in out.items() if v}
-    return TLMorphism(d.bottom, x.top, ring, out)
+    for mf, cf in x.terms.items():
+        key, r = mc(mf, d)
+        c = cf if scalar is None else cf * scalar
+        if r:
+            c = c * pw[r]
+        prev = get(key)
+        out[key] = c if prev is None else prev + c
+    return TLMorphism(d.bottom, x.top, ring, ring.clean(out))
 
 
 def tensor_with_identity(x: TLMorphism, m: int) -> TLMorphism:
@@ -622,14 +558,6 @@ def tensor_with_identity(x: TLMorphism, m: int) -> TLMorphism:
     res._top_kill = x._top_kill
     res._bot_kill = x._bot_kill
     return res
-
-
-def identity_tensor(m: int, x: TLMorphism) -> TLMorphism:
-    if m == 0:
-        return x
-    idm = identity_matching(m)
-    out = {matching_tensor(idm, mm): c for mm, c in x.terms.items()}
-    return TLMorphism(x.bottom + m, x.top + m, x.ring, out)
 
 
 def partial_close_right(f: TLMorphism, m: int) -> TLMorphism:
@@ -661,10 +589,9 @@ def markov_trace(f: TLMorphism):
         raise ValueError("markov trace needs an endomorphism")
     n = f.bottom
     ring = f.ring
-    fp = isinstance(ring, PrimeFieldRing)
     pw = _loop_factors(ring, n + 1)
     total = 2 * n
-    acc = 0 if fp else ring.zero
+    acc = ring.zero
     for m, c in f.terms.items():
         pm = m.partner
         seen = bytearray(total)
@@ -680,9 +607,7 @@ def markov_trace(f: TLMorphism):
                 seen[y] = 1
                 x = total - 1 - y
         acc = acc + c * pw[cycles]
-    if fp:
-        acc = acc % ring.p
-    return acc if acc else ring.zero
+    return ring.reduce(acc)
 
 
 def apply_e_top(i: int, x: TLMorphism, scalar=None) -> TLMorphism:
@@ -696,35 +621,7 @@ def apply_e_top(i: int, x: TLMorphism, scalar=None) -> TLMorphism:
     if not 1 <= i <= nt - 1:
         raise ValueError(f"e_{i} undefined on top arity {nt}")
     la = x.bottom + nt - i  # label of top position i-1
-    lb = la - 1  # label of top position i
-    ring = x.ring
-    fp = isinstance(ring, PrimeFieldRing)
-    out: dict = {}
-    get = out.get
-    for m, c in x.terms.items():
-        if scalar is not None:
-            c = c * scalar
-        pm = m.partner
-        u = pm[la]
-        if u == lb:
-            key = m
-            c = c * -2
-        else:
-            v = pm[lb]
-            lst = list(pm)
-            lst[u] = v
-            lst[v] = u
-            lst[la] = lb
-            lst[lb] = la
-            key = _intern(m.bottom, m.top, lst)
-        prev = get(key)
-        out[key] = c if prev is None else prev + c
-    if fp:
-        out = {k: v % ring.p for k, v in out.items() if v % ring.p}
-    else:
-        out = {k: v for k, v in out.items() if v}
-    res = TLMorphism(x.bottom, x.top, ring, out)
-    return res
+    return _rewire(x, la, la - 1, scalar)
 
 
 def apply_e_bottom(i: int, x: TLMorphism, scalar=None) -> TLMorphism:
@@ -732,9 +629,15 @@ def apply_e_bottom(i: int, x: TLMorphism, scalar=None) -> TLMorphism:
     nb = x.bottom
     if not 1 <= i <= nb - 1:
         raise ValueError(f"e_{i} undefined on bottom arity {nb}")
-    la, lb = i - 1, i
-    ring = x.ring
-    fp = isinstance(ring, PrimeFieldRing)
+    return _rewire(x, i - 1, i, scalar)
+
+
+def _rewire(x: TLMorphism, la: int, lb: int, scalar) -> TLMorphism:
+    """scalar * x with boundary labels la, lb joined by a generator arc.
+
+    The strands that ended at la and lb are spliced into one, and la, lb
+    become partners; when they already were, a loop closes (-2).
+    """
     out: dict = {}
     get = out.get
     for m, c in x.terms.items():
@@ -755,11 +658,7 @@ def apply_e_bottom(i: int, x: TLMorphism, scalar=None) -> TLMorphism:
             key = _intern(m.bottom, m.top, lst)
         prev = get(key)
         out[key] = c if prev is None else prev + c
-    if fp:
-        out = {k: v % ring.p for k, v in out.items() if v % ring.p}
-    else:
-        out = {k: v for k, v in out.items() if v}
-    return TLMorphism(x.bottom, x.top, ring, out)
+    return TLMorphism(x.bottom, x.top, x.ring, x.ring.clean(out))
 
 
 # ---------------------------------------------------------------------------

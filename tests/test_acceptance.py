@@ -56,6 +56,7 @@ def non_adams(p: int, up_to: int) -> list[int]:
     return [n for n in range(1, up_to + 1) if not p_support(n, p).is_adam]
 
 
+@pytest.mark.slow
 def test_criterion_1_classical_jw_suite(caches):
     """n = 1..12 over Q: idempotent, killed two-sidedly, flip-fixed,
     identity coefficient 1, full closure (-1)^n (n+1)."""
@@ -109,6 +110,7 @@ def test_criterion_3_sandwiches(caches):
     announce("criterion 3: projector sandwiches", True, f"{pairs} (n, m) pairs, exhaustive")
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_criterion_4_pjw_battery(p, caches):
     """Full battery at every non-Adam n <= 12: idempotence, orthogonal
@@ -193,6 +195,7 @@ def test_criterion_7_hecke_bridge(caches):
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_serialization_roundtrip(caches):
     """Bit-exact JSON round-trips: randomized morphisms and every computed
     decomposition."""

@@ -1,0 +1,26 @@
+"""Disk cache: verified loads over Q and over F_p."""
+
+import pytest
+
+from wenzl.cache import CacheIntegrityError, DiskCache
+from wenzl.pjw import rational_pjw, reduce_pjw
+
+
+@pytest.fixture
+def reduced(caches):
+    return reduce_pjw(rational_pjw(7, 3, caches))
+
+
+def test_fp_pjw_roundtrip(tmp_path, reduced):
+    DiskCache(tmp_path).store_morphism("pjw", 3, 7, reduced)
+    assert DiskCache(tmp_path).load_morphism("pjw", "Fp:3", 3, 7) == reduced
+
+
+@pytest.mark.parametrize("p,scale", [(3, 2), (2, 1)])
+def test_tampered_fp_pjw_refused(tmp_path, reduced, p, scale):
+    # a wrong value (scaled, or filed under another prime) with an honest
+    # checksum must fail the load-time checks
+    cache = DiskCache(tmp_path)
+    cache.store_morphism("pjw", p, 7, reduced.scale(reduced.ring.from_int(scale)))
+    with pytest.raises(CacheIntegrityError, match="defining checks"):
+        cache.load_morphism("pjw", "Fp:3", p, 7)

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from wenzl import cli
 from wenzl.cli import main
+from wenzl.jw import JWVerificationError
+from wenzl.pjw import PJWIntegrityError
 
 
 def run(capsys, *argv):
@@ -153,3 +156,35 @@ def test_verify_detects_tampered_manifest(tmp_path, capsys):
     code, _, err = run(capsys, "--cache-dir", str(cache_dir), "jw", "--n", "3")
     assert code == 3
     assert "defining checks" in err
+
+
+def test_verify_records_closure_failure(monkeypatch, capsys):
+    def broken_close_jw(n, m, cache=None):
+        raise JWVerificationError(f"closure of JW_{n} is wrong")
+
+    monkeypatch.setattr(cli, "close_jw", broken_close_jw)
+    code, out, _ = run(capsys, "verify", "--p", "2", "--max-n", "3", "--depth", "quick")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    steps = [e for e in payload["checks"] if e["check"] == "jw_closure_step"]
+    assert [e["n"] for e in steps] == [1, 2, 3]
+    assert not any(e["passed"] for e in steps)
+    assert "closure of JW_1 is wrong" in steps[0]["detail"]
+
+
+@pytest.mark.parametrize(
+    "target,error,argv",
+    [
+        ("jones_wenzl", JWVerificationError, ["jw", "--n", "3"]),
+        ("rational_pjw", PJWIntegrityError, ["pjw", "--p", "2", "--n", "4"]),
+    ],
+)
+def test_internal_verification_failure_exit_3(monkeypatch, capsys, target, error, argv):
+    def broken(*args, **kwargs):
+        raise error("injected failure")
+
+    monkeypatch.setattr(cli, target, broken)
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "injected failure" in err

@@ -105,22 +105,28 @@ def test_absorption_small_direct(caches):
         assert compose(grown, dec.total) == dec.total
 
 
+@pytest.mark.slow
 def test_absorption_is_transitive_down_the_chain(caches):
-    # chains 3 -> 5 -> 6 (p=2) and 2 -> 8 -> 9 (p=3): the top level absorbs
-    # the grandfather level directly, not only its own father
+    # the top level absorbs the grandfather level, not only its own father
     from wenzl.padic import father_chain
+    from wenzl.pjw import checks_pass
     from wenzl.tl import tensor_with_identity
 
-    for p, n in [(2, 6), (3, 9)]:
-        chain = father_chain(n, p)
-        assert len(chain) >= 3
-        dec = rational_pjw(n, p, caches)
-        for ancestor in chain[2:]:
-            grown = tensor_with_identity(
-                rational_pjw(ancestor, p, caches).total, n - ancestor
-            )
-            assert compose(dec.total, grown) == dec.total
-            assert compose(grown, dec.total) == dec.total
+    # p=2, chain 6 -> 5 -> 3: checked directly against the grandfather
+    assert father_chain(6, 2) == [6, 5, 3]
+    dec = rational_pjw(6, 2, caches)
+    grown = tensor_with_identity(rational_pjw(3, 2, caches).total, 3)
+    assert compose(dec.total, grown) == dec.total
+    assert compose(grown, dec.total) == dec.total
+
+    # p=3, chain 12 -> 11 -> 8 (13 = 111_3), the smallest three-level chain
+    # for p=3.  A direct check would cost about 58786 x 1430 pair products
+    # each way, so it goes through the battery: 12 absorbs 11 (x) id_1 and
+    # 11 absorbs 8 (x) id_3, and tensoring the second with id_1 chains them.
+    assert father_chain(12, 3) == [12, 11, 8]
+    for n in (12, 11):
+        report = verify_battery(rational_pjw(n, 3, caches), caches)
+        assert checks_pass(report.checks, "absorption"), n
 
 
 def test_p_integrality_despite_non_integral_lambdas(caches):

@@ -88,12 +88,6 @@ def test_rational_arithmetic_normalized():
     assert QQ.format(QQ.from_int(-7)) == "-7"
 
 
-def test_rational_ring_inverse():
-    assert QQ.inv(QQ.fraction(2, 3)) == Fraction(3, 2)
-    with pytest.raises(NonInvertible):
-        QQ.inv(QQ.zero)
-
-
 def test_laurent_examples():
     v = LaurentPoly.v_power(1)
     vinv = LaurentPoly.v_power(-1)
@@ -126,12 +120,18 @@ def test_laurent_no_stored_zeros():
 def test_prime_field_ring_adapter():
     F = PrimeFieldRing(7)
     assert F.name == "Fp:7"
-    assert F.inv(3) == 5
     assert F.from_rational(Fraction(1, 2)) == 4
     with pytest.raises(NotPIntegral):
         F.from_rational(Fraction(1, 7))
-    with pytest.raises(NonInvertible):
-        F.inv(0)
+    assert F.reduce(-1) == 6
+    assert F.clean({"a": 7, "b": -5, "c": 3}) == {"b": 2, "c": 3}
+
+
+def test_rational_ring_adapter():
+    x = QQ.fraction(2, 3)
+    assert QQ.from_rational(x) is x
+    assert QQ.reduce(x) is x
+    assert QQ.clean({"a": QQ.zero, "b": x}) == {"b": x}
 
 
 def test_ring_by_name_roundtrip():

@@ -212,13 +212,70 @@ def test_specialized_generator_application():
             assert apply_e_bottom(i, x) == apply_matching_right(e_matching(i, n), x)
 
 
-def test_specialized_generator_application_fp():
+def integer_morphism(rng, n, m, max_terms=6):
+    basis = enumerate_basis(n, m)
+    terms = {
+        mm: QQ.from_int(rng.randint(-9, 9))
+        for mm in rng.sample(basis, min(max_terms, len(basis)))
+    }
+    return TLMorphism(n, m, QQ, QQ.clean(terms))
+
+
+def reduce_to(x, ring):
+    """The coefficient-wise image over F_p of a morphism over Q."""
+    terms = {mm: ring.from_rational(c) for mm, c in x.terms.items()}
+    return TLMorphism(x.bottom, x.top, ring, ring.clean(terms))
+
+
+def test_fp_kernels_are_reductions_of_q_kernels():
+    # reduction mod p is a ring map, so on integral inputs every kernel over
+    # F_p must agree with the reduction of the same kernel over Q
     rng = random.Random(29)
-    ring = PrimeFieldRing(5)
-    for _ in range(20):
-        x = random_morphism(rng, 4, 4, ring)
-        for i in range(1, 4):
-            assert apply_e_top(i, x) == apply_matching_left(e_matching(i, 4), x)
+    for p in (2, 3, 5, 7):
+        F = PrimeFieldRing(p)
+        for _ in range(15):
+            n, mid, k = rng.choice(
+                [(4, 4, 4), (3, 5, 3), (2, 4, 6), (5, 3, 5), (1, 3, 3)]
+            )
+            f, h = integer_morphism(rng, n, mid), integer_morphism(rng, n, mid)
+            g = integer_morphism(rng, mid, k)
+            fp, gp, hp = (reduce_to(y, F) for y in (f, g, h))
+            s = rng.randint(-9, 9)
+            sq, sp = QQ.from_int(s), F.from_int(s)
+
+            assert compose(gp, fp) == reduce_to(compose(g, f), F)
+            assert fp.add(hp) == reduce_to(f.add(h), F)
+            assert fp.scale(sp) == reduce_to(f.scale(sq), F)
+            assert fp.tensor(gp) == reduce_to(f.tensor(g), F)
+            closed = compose(h.flip(), f)
+            assert markov_trace(reduce_to(closed, F)) == F.from_rational(
+                markov_trace(closed)
+            )
+            left = rng.choice(enumerate_basis(mid, k))
+            right = rng.choice(enumerate_basis(k, n))
+            for c, cp in ((None, None), (sq, sp)):
+                assert apply_matching_left(left, fp, cp) == reduce_to(
+                    apply_matching_left(left, f, c), F
+                )
+                assert apply_matching_right(right, fp, cp) == reduce_to(
+                    apply_matching_right(right, f, c), F
+                )
+                for i in range(1, mid):
+                    assert apply_e_top(i, fp, cp) == reduce_to(
+                        apply_e_top(i, f, c), F
+                    )
+                for i in range(1, n):
+                    assert apply_e_bottom(i, fp, cp) == reduce_to(
+                        apply_e_bottom(i, f, c), F
+                    )
+            for i in range(1, mid):
+                assert apply_e_top(i, fp) == apply_matching_left(
+                    e_matching(i, mid), fp
+                )
+            for i in range(1, n):
+                assert apply_e_bottom(i, fp) == apply_matching_right(
+                    e_matching(i, n), fp
+                )
 
 
 # ---------------------------------------------------------------------------

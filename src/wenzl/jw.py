@@ -35,7 +35,6 @@ from .tl import (
     TLMorphism,
     apply_e_top,
     apply_matching_left,
-    apply_matching_right,
     bottom_killed_upto,
     catalan,
     compose,
@@ -141,20 +140,11 @@ def jones_wenzl(n: int, ring=QQ, cache: Optional[JWCache] = None) -> TLMorphism:
         prev = cache.get(ring, k - 1)
         if prev is None:
             prev = jones_wenzl(k - 1, ring, cache)
-        grown = tensor_with_identity(prev, 1)
-        acc = dict(grown.terms)
+        right = {identity_matching(k): QQ.one}
         for j in range(1, k):
-            piece = apply_matching_right(
-                _ladder_matching(k, j, 0), grown, QQ.fraction(j, k)
-            )
-            for m, c in piece.terms.items():
-                s = acc.get(m)
-                s = c if s is None else s + c
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
-        cache.insert(ring, k, TLMorphism(k, k, ring, acc))
+            right[_ladder_matching(k, j, 0)] = QQ.fraction(j, k)
+        grown = tensor_with_identity(prev, 1)
+        cache.insert(ring, k, compose(grown, TLMorphism(k, k, ring, right)))
 
     if n <= 1:
         value = TLMorphism.identity(n, ring)

@@ -11,9 +11,12 @@ small *ring adapter* object (RationalRing / PrimeFieldRing).  Coefficients are
 combined with the plain ``+`` and ``*`` of their Python type; the adapter
 holds the one ring-dependent step, normalising the result (``reduce`` for a
 scalar, ``clean`` for an accumulated coefficient map), plus conversion,
-parsing and printing.  Over F_p the adapter works on plain int residues, which
-keeps inner loops cheap; the FpElement class is the convenient value type for
-user-facing arithmetic.
+parsing and printing.  The hot kernels work on plain ints throughout:
+``lift`` writes a coefficient map as int numerators over one common
+denominator (the identity on F_p), the kernel accumulates ints, and
+``settle`` (a map) or ``divide`` (a scalar) turns the result back into ring
+elements.  Over F_p the adapter works on plain int residues; the FpElement
+class is the convenient value type for user-facing arithmetic.
 
 No floating point anywhere.
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 from .padic import is_prime
@@ -240,6 +244,33 @@ class RationalRing:
         return {k: v for k, v in acc.items() if v}
 
     @staticmethod
+    def lift(terms: dict, scalar=None) -> tuple[dict, int]:
+        """scalar * terms as int numerators over one common denominator.
+
+        Kernels accumulate the numerators with int arithmetic, which is far
+        cheaper than Fraction arithmetic, and ``settle`` divides once per
+        output entry.
+        """
+        s_num, s_den = (
+            (1, 1) if scalar is None else (scalar.numerator, scalar.denominator)
+        )
+        dens = {v.denominator for v in terms.values()}
+        den = lcm(*dens)
+        mult = {d: s_num * (den // d) for d in dens}
+        ints = {k: v.numerator * mult[v.denominator] for k, v in terms.items()}
+        return ints, den * s_den
+
+    @staticmethod
+    def settle(acc: dict, den: int) -> dict:
+        """An accumulated map of int numerators over den, zeros dropped."""
+        return {k: Fraction(v, den) for k, v in acc.items() if v}
+
+    @staticmethod
+    def divide(num: int, den: int) -> Fraction:
+        """One accumulated int numerator over den, as a ring element."""
+        return Fraction(num, den)
+
+    @staticmethod
     def format(a) -> str:
         if a.denominator == 1:
             return str(a.numerator)
@@ -278,6 +309,20 @@ class PrimeFieldRing:
         """An accumulated map of unreduced ints, reduced mod p, zeros dropped."""
         p = self.p
         return {k: r for k, v in acc.items() if (r := v % p)}
+
+    def lift(self, terms: dict, scalar=None) -> tuple[dict, int]:
+        """scalar * terms as ints over the denominator 1 (see RationalRing)."""
+        if scalar is None:
+            return terms, 1
+        return {k: v * scalar for k, v in terms.items()}, 1
+
+    def settle(self, acc: dict, den: int) -> dict:
+        """An accumulated map of unreduced ints (den is 1), as ``clean``."""
+        return self.clean(acc)
+
+    def divide(self, num: int, den: int) -> int:
+        """One accumulated unreduced int (den is 1), reduced mod p."""
+        return num % self.p
 
     def format(self, a: int) -> str:
         return str(a % self.p)

@@ -31,10 +31,16 @@ from .tl import TLMorphism, matching
 
 
 def morphism_to_dict(f: TLMorphism) -> dict[str, Any]:
+    """The JSON-ready form; each pair is the matching's own (a, b) tuple.
+
+    Sharing the interned pair tuples instead of building a fresh list per
+    pair keeps the allocation count, and with it the garbage collector's
+    work, low on the Catalan-sized morphisms; JSON prints them as arrays.
+    """
     ring = f.ring
+    fmt = ring.format
     terms = [
-        {"pairs": [list(p) for p in m.pairs], "coeff": ring.format(c)}
-        for m, c in f.terms.items()
+        {"pairs": list(m.pairs), "coeff": fmt(c)} for m, c in f.terms.items()
     ]
     terms.sort(key=lambda t: t["pairs"])
     return {"bottom": f.bottom, "top": f.top, "ring": ring.name, "terms": terms}
@@ -43,10 +49,11 @@ def morphism_to_dict(f: TLMorphism) -> dict[str, Any]:
 def morphism_from_dict(d: dict[str, Any]) -> TLMorphism:
     ring = ring_by_name(d["ring"])
     bottom, top = int(d["bottom"]), int(d["top"])
+    parse = ring.parse
     terms = {}
     for t in d["terms"]:
-        m = matching(bottom, top, [tuple(p) for p in t["pairs"]])
-        c = ring.parse(t["coeff"])
+        m = matching(bottom, top, t["pairs"])
+        c = parse(t["coeff"])
         if c:
             terms[m] = c
     return TLMorphism(bottom, top, ring, terms)

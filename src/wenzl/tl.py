@@ -23,6 +23,7 @@ table tolerates concurrent use.
 from __future__ import annotations
 
 from functools import lru_cache
+import itertools
 from typing import Iterable
 
 from .rings import QQ
@@ -41,11 +42,12 @@ class CrossinglessMatching:
 
     ``partner`` maps each boundary label to its mate; ``pairs`` lists the
     pairs as (min, max) sorted by min, which is the canonical serialized
-    form.  Use :func:`matching` (or the generator helpers below) to obtain
-    instances; the raw constructor skips validation.
+    form.  ``uid`` is a serial number, unique per instance, that keys the
+    composition memo.  Use :func:`matching` (or the generator helpers below)
+    to obtain instances; the raw constructor skips validation.
     """
 
-    __slots__ = ("bottom", "top", "partner", "pairs", "_hash", "__weakref__")
+    __slots__ = ("bottom", "top", "partner", "pairs", "uid", "_hash", "__weakref__")
 
     def __init__(self, bottom: int, top: int, partner: tuple[int, ...]):
         self.bottom = bottom
@@ -54,6 +56,7 @@ class CrossinglessMatching:
         self.pairs = tuple(
             (a, partner[a]) for a in range(bottom + top) if partner[a] > a
         )
+        self.uid = next(_UIDS)
         self._hash = hash((bottom, top, partner))
 
     def __hash__(self) -> int:
@@ -96,6 +99,7 @@ class CrossinglessMatching:
 
 
 _INTERN: dict[tuple[int, int, tuple[int, ...]], CrossinglessMatching] = {}
+_UIDS = itertools.count()
 
 
 def _intern(bottom: int, top: int, partner) -> CrossinglessMatching:
@@ -137,9 +141,12 @@ def matching(
         partner[a] = b
         partner[b] = a
         count += 1
-    if count * 2 != total or any(x < 0 for x in partner):
+    if count * 2 != total:  # each pair filled two empty points
         raise ValueError("pairs must form a perfect matching")
     partner_t = tuple(partner)
+    known = _INTERN.get((bottom, top, partner_t))
+    if known is not None:  # only planar matchings are ever interned
+        return known
     if not _is_planar(partner_t):
         raise ValueError("pairing is not planar")
     return _intern(bottom, top, partner_t)
@@ -202,7 +209,8 @@ def right_collapse_matching(width: int, m: int) -> CrossinglessMatching:
 # ---------------------------------------------------------------------------
 
 
-_COMPOSE_MEMO: dict = {}
+_COMPOSE_MEMO: dict = {}  # (g.uid, f.uid) -> resulting matching
+_COMPOSE_LOOPS: dict = {}  # the same keys -> loop count, where nonzero
 _COMPOSE_MEMO_CAP = 4_000_000
 
 
@@ -211,17 +219,23 @@ def matching_compose(
 ) -> tuple[CrossinglessMatching, int]:
     """Stack g on top of f; return (resulting matching, removed loop count).
 
-    Results are memoized: matchings are interned, so the pair is a cheap
-    dictionary key and composition pairs recur heavily in batched scans.
+    Results are memoized, because composition pairs recur heavily in
+    batched scans.  The memo holds no container of its own per entry: keys
+    are pairs of serial numbers (plain ints, which hash without a Python
+    call) and values are the interned result matchings, so millions of
+    entries add nothing for the cyclic garbage collector to track.
     """
-    key = (g, f)
+    key = (g.uid, f.uid)
     hit = _COMPOSE_MEMO.get(key)
     if hit is not None:
-        return hit
+        return hit, _COMPOSE_LOOPS.get(key, 0)
     out = _matching_compose_walk(g, f)
     if len(_COMPOSE_MEMO) >= _COMPOSE_MEMO_CAP:
         _COMPOSE_MEMO.clear()
-    _COMPOSE_MEMO[key] = out
+        _COMPOSE_LOOPS.clear()
+    _COMPOSE_MEMO[key] = out[0]
+    if out[1]:
+        _COMPOSE_LOOPS[key] = out[1]
     return out
 
 
@@ -441,7 +455,7 @@ class TLMorphism:
 
     def scale(self, c) -> "TLMorphism":
         ring = self.ring
-        out = ring.clean({k: v * c for k, v in self.terms.items()})
+        out = ring.settle(*ring.lift(self.terms, c))
         return TLMorphism(self.bottom, self.top, ring, out)
 
     def _check_like(self, other: "TLMorphism") -> None:
@@ -478,8 +492,8 @@ class TLMorphism:
         return res
 
 
-def _loop_factors(ring, upto: int) -> list:
-    return [ring.from_int((-2) ** r) for r in range(upto + 1)]
+def _loop_powers(upto: int) -> list[int]:
+    return [(-2) ** r for r in range(upto + 1)]
 
 
 def compose(g: TLMorphism, f: TLMorphism) -> TLMorphism:
@@ -489,19 +503,21 @@ def compose(g: TLMorphism, f: TLMorphism) -> TLMorphism:
     if f.ring.name != g.ring.name:
         raise ValueError("composition needs a common coefficient ring")
     ring = f.ring
+    f_ints, f_den = ring.lift(f.terms)
+    g_ints, g_den = ring.lift(g.terms)
     maxr = (f.top + min(f.bottom, g.top)) // 2 + 1
-    pw = _loop_factors(ring, maxr)
+    pw = _loop_powers(maxr)
     out: dict = {}
     get = out.get
-    for mf, cf in f.terms.items():
-        for mg, cg in g.terms.items():
+    for mf, cf in f_ints.items():
+        for mg, cg in g_ints.items():
             key, r = matching_compose(mg, mf)
             c = cf * cg
             if r:
                 c = c * pw[r]
             prev = get(key)
             out[key] = c if prev is None else prev + c
-    return TLMorphism(f.bottom, g.top, ring, ring.clean(out))
+    return TLMorphism(f.bottom, g.top, ring, ring.settle(out, f_den * g_den))
 
 
 def apply_matching_left(
@@ -511,19 +527,18 @@ def apply_matching_left(
     if x.top != d.bottom:
         raise ValueError("arity mismatch")
     ring = x.ring
-    maxr = (x.top + min(x.bottom, d.top)) // 2 + 1
-    pw = _loop_factors(ring, maxr)
+    ints, den = ring.lift(x.terms, scalar)
+    pw = _loop_powers((x.top + min(x.bottom, d.top)) // 2 + 1)
     out: dict = {}
     get = out.get
     mc = matching_compose
-    for mf, cf in x.terms.items():
+    for mf, c in ints.items():
         key, r = mc(d, mf)
-        c = cf if scalar is None else cf * scalar
         if r:
             c = c * pw[r]
         prev = get(key)
         out[key] = c if prev is None else prev + c
-    return TLMorphism(x.bottom, d.top, ring, ring.clean(out))
+    return TLMorphism(x.bottom, d.top, ring, ring.settle(out, den))
 
 
 def apply_matching_right(
@@ -533,19 +548,18 @@ def apply_matching_right(
     if d.top != x.bottom:
         raise ValueError("arity mismatch")
     ring = x.ring
-    maxr = (x.bottom + min(d.bottom, x.top)) // 2 + 1
-    pw = _loop_factors(ring, maxr)
+    ints, den = ring.lift(x.terms, scalar)
+    pw = _loop_powers((x.bottom + min(d.bottom, x.top)) // 2 + 1)
     out: dict = {}
     get = out.get
     mc = matching_compose
-    for mf, cf in x.terms.items():
+    for mf, c in ints.items():
         key, r = mc(mf, d)
-        c = cf if scalar is None else cf * scalar
         if r:
             c = c * pw[r]
         prev = get(key)
         out[key] = c if prev is None else prev + c
-    return TLMorphism(d.bottom, x.top, ring, ring.clean(out))
+    return TLMorphism(d.bottom, x.top, ring, ring.settle(out, den))
 
 
 def tensor_with_identity(x: TLMorphism, m: int) -> TLMorphism:
@@ -589,10 +603,11 @@ def markov_trace(f: TLMorphism):
         raise ValueError("markov trace needs an endomorphism")
     n = f.bottom
     ring = f.ring
-    pw = _loop_factors(ring, n + 1)
+    ints, den = ring.lift(f.terms)
+    pw = _loop_powers(n + 1)
     total = 2 * n
-    acc = ring.zero
-    for m, c in f.terms.items():
+    acc = 0
+    for m, c in ints.items():
         pm = m.partner
         seen = bytearray(total)
         cycles = 0
@@ -606,8 +621,8 @@ def markov_trace(f: TLMorphism):
                 y = pm[x]
                 seen[y] = 1
                 x = total - 1 - y
-        acc = acc + c * pw[cycles]
-    return ring.reduce(acc)
+        acc += c * pw[cycles]
+    return ring.divide(acc, den)
 
 
 def apply_e_top(i: int, x: TLMorphism, scalar=None) -> TLMorphism:
@@ -638,11 +653,11 @@ def _rewire(x: TLMorphism, la: int, lb: int, scalar) -> TLMorphism:
     The strands that ended at la and lb are spliced into one, and la, lb
     become partners; when they already were, a loop closes (-2).
     """
+    ring = x.ring
+    ints, den = ring.lift(x.terms, scalar)
     out: dict = {}
     get = out.get
-    for m, c in x.terms.items():
-        if scalar is not None:
-            c = c * scalar
+    for m, c in ints.items():
         pm = m.partner
         u = pm[la]
         if u == lb:
@@ -658,7 +673,7 @@ def _rewire(x: TLMorphism, la: int, lb: int, scalar) -> TLMorphism:
             key = _intern(m.bottom, m.top, lst)
         prev = get(key)
         out[key] = c if prev is None else prev + c
-    return TLMorphism(x.bottom, x.top, x.ring, x.ring.clean(out))
+    return TLMorphism(x.bottom, x.top, ring, ring.settle(out, den))
 
 
 # ---------------------------------------------------------------------------

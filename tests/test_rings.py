@@ -134,6 +134,19 @@ def test_rational_ring_adapter():
     assert QQ.clean({"a": QQ.zero, "b": x}) == {"b": x}
 
 
+@given(st.dictionaries(st.integers(0, 9), rationals, max_size=8), rationals)
+def test_lift_settle_is_exact(terms, s):
+    """The kernels' int accumulation: lift, add ints, settle or divide."""
+    ints, den = QQ.lift(terms)
+    assert all(type(v) is int for v in ints.values())
+    assert QQ.settle(ints, den) == terms
+    assert QQ.settle(*QQ.lift(terms, s)) == {k: v * s for k, v in terms.items()}
+    assert QQ.divide(sum(ints.values()), den) == sum(terms.values(), Fraction(0))
+    F = PrimeFieldRing(7)
+    assert F.settle(*F.lift({"a": 3, "b": 5, "c": 7}, 4)) == {"a": 5, "b": 6}
+    assert F.divide(-1, 1) == 6
+
+
 def test_ring_by_name_roundtrip():
     assert ring_by_name("Q") is QQ
     assert ring_by_name("Fp:5") == PrimeFieldRing(5)

@@ -103,14 +103,15 @@ def reduce_mod_p(x: Union[Fraction, int], p: int) -> FpElement:
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if isinstance(x, int):
-        x = Fraction(x)
-    den = int(x.denominator)
+    return FpElement(p, _residue(x, p))
+
+
+def _residue(x: Union[Fraction, int], p: int) -> int:
+    """The residue of x = a/b in [0, p) for a prime p that is already checked."""
+    den = x.denominator
     if den % p == 0:
         raise NotPIntegral(f"{x} is not p-integral at p={p}")
-    num = int(x.numerator) % p
-    den_inv = pow(den % p, -1, p)
-    return FpElement(p, num * den_inv)
+    return x.numerator * pow(den % p, -1, p) % p
 
 
 class LaurentPoly:
@@ -300,7 +301,7 @@ class PrimeFieldRing:
 
     def from_rational(self, x: Fraction) -> int:
         """Reduce a p-integral rational; NotPIntegral if p divides the denominator."""
-        return reduce_mod_p(x, self.p).residue
+        return _residue(x, self.p)  # p was checked once, in __init__
 
     def reduce(self, x: int) -> int:
         return x % self.p

@@ -15,9 +15,16 @@ bilinearly.  The -2 (rather than +2) is a fixed convention here and every
 downstream sign depends on it.
 
 Matchings are interned: structurally equal diagrams are the same object, so
-coefficient maps hash and compare fast.  All values are immutable;
-re-inserting an equal matching into the intern table is harmless, so the
-table tolerates concurrent use.
+equality and hashing are by identity and coefficient maps hash and compare
+fast.  All values are immutable; re-inserting an equal matching into the
+intern table is harmless, so the table tolerates concurrent use.
+
+Composition runs through half-diagrams.  A matching x: n -> m with t through
+strands factors as x == hi(x) o lo(x), where lo(x): n -> t keeps the bottom
+arcs and hi(x): t -> m the top arcs (the cell structure of TL; Graham-Lehrer,
+*Cellular algebras*, 1996).  In a product g o f the middle boundary only
+sees hi of f's terms and lo of g's terms, so :func:`compose` walks that
+boundary once per pair of distinct halves, not once per pair of terms.
 """
 
 from __future__ import annotations
@@ -44,10 +51,11 @@ class CrossinglessMatching:
     pairs as (min, max) sorted by min, which is the canonical serialized
     form.  ``uid`` is a serial number, unique per instance, that keys the
     composition memo.  Use :func:`matching` (or the generator helpers below)
-    to obtain instances; the raw constructor skips validation.
+    to obtain instances; the raw constructor skips validation.  Equal
+    matchings are one object, so equality and hashing are by identity.
     """
 
-    __slots__ = ("bottom", "top", "partner", "pairs", "uid", "_hash", "__weakref__")
+    __slots__ = ("bottom", "top", "partner", "pairs", "uid", "_halves", "__weakref__")
 
     def __init__(self, bottom: int, top: int, partner: tuple[int, ...]):
         self.bottom = bottom
@@ -57,20 +65,7 @@ class CrossinglessMatching:
             (a, partner[a]) for a in range(bottom + top) if partner[a] > a
         )
         self.uid = next(_UIDS)
-        self._hash = hash((bottom, top, partner))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, CrossinglessMatching)
-            and self.bottom == other.bottom
-            and self.top == other.top
-            and self.partner == other.partner
-        )
+        self._halves = None
 
     def __repr__(self) -> str:
         return f"Matching({self.bottom}->{self.top}; {list(self.pairs)})"
@@ -219,11 +214,13 @@ def matching_compose(
 ) -> tuple[CrossinglessMatching, int]:
     """Stack g on top of f; return (resulting matching, removed loop count).
 
-    Results are memoized, because composition pairs recur heavily in
-    batched scans.  The memo holds no container of its own per entry: keys
-    are pairs of serial numbers (plain ints, which hash without a Python
-    call) and values are the interned result matchings, so millions of
-    entries add nothing for the cyclic garbage collector to track.
+    Results are memoized, because composition pairs recur heavily: in
+    single-diagram scans, and in :func:`compose` as pairs of middle halves,
+    the half products around them and the loop-free joins hi o lo.  The
+    memo holds no container of its own per entry: keys are pairs of serial
+    numbers (plain ints, which hash without a Python call) and values are
+    the interned result matchings, so millions of entries add nothing for
+    the cyclic garbage collector to track.
     """
     key = (g.uid, f.uid)
     hit = _COMPOSE_MEMO.get(key)
@@ -329,6 +326,36 @@ def matching_flip(a: CrossinglessMatching) -> CrossinglessMatching:
         res[u] = v
         res[v] = u
     return _intern(a.top, a.bottom, res)
+
+
+def halves(
+    x: CrossinglessMatching,
+) -> tuple[CrossinglessMatching, CrossinglessMatching]:
+    """The factorization x == hi o lo through x's t through strands.
+
+    ``lo``: bottom -> t keeps x's bottom arcs and carries each through strand
+    straight up; ``hi``: t -> top keeps x's top arcs.  The composite closes no
+    loop.  Computed once per matching and kept on the instance.
+    """
+    h = x._halves
+    if h is None:
+        n, m = x.bottom, x.top
+        p = x.partner
+        feet = [a for a in range(n) if p[a] >= n]  # through strands, left to right
+        t = len(feet)
+        lo = [-1] * (n + t)
+        hi = [-1] * (t + m)
+        for a in range(n):
+            if p[a] < n:
+                lo[a] = p[a]
+        for b in range(n, n + m):
+            if p[b] >= n:
+                hi[b - n + t] = p[b] - n + t
+        for s, a in enumerate(feet):
+            lo[a], lo[n + t - 1 - s] = n + t - 1 - s, a
+            hi[s], hi[p[a] - n + t] = p[a] - n + t, s
+        h = x._halves = (_intern(n, t, lo), _intern(t, m, hi))
+    return h
 
 
 @lru_cache(maxsize=None)
@@ -497,7 +524,14 @@ def _loop_powers(upto: int) -> list[int]:
 
 
 def compose(g: TLMorphism, f: TLMorphism) -> TLMorphism:
-    """Bilinear composition g after f, with each erased loop worth -2."""
+    """Bilinear composition g after f, with each erased loop worth -2.
+
+    Each term factors through its halves, so mg o mf is
+    hi(mg) o [lo(mg) o hi(mf)] o lo(mf), and only the middle product mu can
+    close loops.  Terms are grouped by the half that meets the middle, mu is
+    walked once per pair of groups, and each group's coefficients are summed
+    onto lo(mu) o lo(mf) and hi(mg) o hi(mu) before the loop-free joins.
+    """
     if f.top != g.bottom:
         raise ValueError(f"arity mismatch: {f}.top != {g}.bottom")
     if f.ring.name != g.ring.name:
@@ -505,18 +539,40 @@ def compose(g: TLMorphism, f: TLMorphism) -> TLMorphism:
     ring = f.ring
     f_ints, f_den = ring.lift(f.terms)
     g_ints, g_den = ring.lift(g.terms)
-    maxr = (f.top + min(f.bottom, g.top)) // 2 + 1
-    pw = _loop_powers(maxr)
+    pw = _loop_powers(f.top // 2)
+    mc = matching_compose
+    f_by_hi: dict = {}  # hi(f-term) -> [(lo(f-term), coefficient)]
+    for mf, c in f_ints.items():
+        lo, hi = mf._halves or halves(mf)
+        f_by_hi.setdefault(hi, []).append((lo, c))
+    g_by_lo: dict = {}  # lo(g-term) -> [(hi(g-term), coefficient)]
+    for mg, c in g_ints.items():
+        lo, hi = mg._halves or halves(mg)
+        g_by_lo.setdefault(lo, []).append((hi, c))
     out: dict = {}
     get = out.get
-    for mf, cf in f_ints.items():
-        for mg, cg in g_ints.items():
-            key, r = matching_compose(mg, mf)
-            c = cf * cg
-            if r:
-                c = c * pw[r]
-            prev = get(key)
-            out[key] = c if prev is None else prev + c
+    for hf, fs in f_by_hi.items():
+        for lg, gs in g_by_lo.items():
+            mu, r = mc(lg, hf)  # the one boundary walk of this pair of halves
+            mu_lo, mu_hi = mu._halves or halves(mu)
+            lows: dict = {}
+            for lo, c in fs:
+                key = mc(mu_lo, lo)[0]
+                lows[key] = lows.get(key, 0) + c
+            highs: dict = {}
+            for hi, c in gs:
+                key = mc(hi, mu_hi)[0]
+                highs[key] = highs.get(key, 0) + c
+            w = pw[r]
+            for lo, u in lows.items():
+                if not u:
+                    continue
+                u *= w
+                for hi, v in highs.items():
+                    if v:
+                        key = mc(hi, lo)[0]
+                        prev = get(key)
+                        out[key] = u * v if prev is None else prev + u * v
     return TLMorphism(f.bottom, g.top, ring, ring.settle(out, f_den * g_den))
 
 

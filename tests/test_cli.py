@@ -37,6 +37,12 @@ def test_jw_undefined_over_f2(capsys):
     assert "2" in err
 
 
+def test_jw_over_61_bit_prime(capsys):
+    code, out, _ = run(capsys, "jw", "--n", "4", "--ring", "fp:2305843009213693951")
+    assert code == 0
+    assert json.loads(out)["ring"] == "Fp:2305843009213693951"
+
+
 def test_usage_error_exit_1(capsys):
     assert main(["jw"]) == 1  # missing --n
     assert main(["frobnicate"]) == 1

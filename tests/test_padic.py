@@ -210,7 +210,42 @@ def test_lucas_holds_exactly_for_adams(p):
     assert lucas_jw_defined(0, p)
 
 
+def is_prime_by_trial_division(p: int) -> bool:
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def test_is_prime_small():
     assert [q for q in range(40) if is_prime(q)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
     ]
+
+
+def test_is_prime_against_trial_division():
+    assert all(is_prime(q) == is_prime_by_trial_division(q) for q in range(200_000))
+
+
+@pytest.mark.parametrize(
+    "q,expected",
+    [
+        (2047, False),  # strong pseudoprime to base 2
+        (3215031751, False),  # strong pseudoprime to bases 2, 3, 5, 7
+        (3825123056546413051, False),  # strong pseudoprime to bases 2..23
+        (2**61 - 1, True),
+        (2**64 - 59, True),
+        ((2**61 - 1) * (2**31 - 1), False),  # above the exact bound, but witnessed
+    ],
+)
+def test_is_prime_large(q, expected):
+    assert is_prime(q) is expected
+
+
+def test_is_prime_refuses_undecided_input():
+    with pytest.raises(ValueError):
+        is_prime(2**89 - 1)  # prime, but above the deterministic bound

@@ -152,3 +152,24 @@ def test_ring_by_name_roundtrip():
     assert ring_by_name("Fp:5") == PrimeFieldRing(5)
     with pytest.raises(ValueError):
         ring_by_name("Z")
+
+
+def test_primality_checked_once_per_prime(monkeypatch):
+    import wenzl.rings
+    from wenzl.jw import JWCache, jones_wenzl
+    from wenzl.pjw import rational_pjw, reduce_pjw
+
+    dec = rational_pjw(9, 3)
+    calls = []
+    check = wenzl.rings.is_prime
+
+    def counted(p):
+        calls.append(p)
+        return check(p)
+
+    monkeypatch.setattr(wenzl.rings, "is_prime", counted)
+    reduce_pjw(dec)
+    assert len(calls) <= 1
+    calls.clear()
+    jones_wenzl(6, PrimeFieldRing(7), JWCache())
+    assert len(calls) <= 1

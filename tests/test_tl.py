@@ -21,10 +21,12 @@ from wenzl.tl import (
     cup_matching,
     e_matching,
     enumerate_basis,
+    halves,
     identity_matching,
     markov_trace,
     matching,
     matching_compose,
+    _matching_compose_walk,
     matching_flip,
     matching_tensor,
     nested_caps_matching,
@@ -92,6 +94,11 @@ def test_matching_validation():
         matching(1, 2, [(0, 1)])
     m = matching(2, 2, [(0, 3), (1, 2)])
     assert m is identity_matching(2)
+
+
+def test_equal_matchings_are_one_object():
+    # equality and hashing are by identity, which interning makes exact
+    assert matching(2, 2, [(0, 3), (1, 2)]) is matching(2, 2, [(1, 2), (0, 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +217,77 @@ def test_specialized_generator_application():
             assert apply_e_top(i, x) == apply_matching_left(e_matching(i, m), x)
         for i in range(1, n):
             assert apply_e_bottom(i, x) == apply_matching_right(e_matching(i, n), x)
+
+
+# ---------------------------------------------------------------------------
+# Half-diagram composition against the term-by-term oracle
+# ---------------------------------------------------------------------------
+
+
+def _pairwise_compose(g, f):
+    """g after f with one boundary walk per pair of terms."""
+    ring = f.ring
+    out = {}
+    for mf, cf in f.terms.items():
+        for mg, cg in g.terms.items():
+            key, r = _matching_compose_walk(mg, mf)
+            out[key] = out.get(key, 0) + cf * cg * (-2) ** r
+    return TLMorphism(f.bottom, g.top, ring, ring.clean(out))
+
+
+@pytest.mark.parametrize("n,m", [(0, 0), (0, 2), (2, 0), (3, 1), (4, 4), (5, 3), (6, 6)])
+def test_halves_factor_each_matching(n, m):
+    for x in enumerate_basis(n, m):
+        lo, hi = halves(x)
+        t = x.through_strands()
+        assert (lo.bottom, lo.top, hi.bottom, hi.top) == (n, t, t, m)
+        assert _matching_compose_walk(hi, lo) == (x, 0)
+        assert all(a < n for a, b in lo.pairs)  # lo has no top arc
+        assert all(b >= t for a, b in hi.pairs)  # hi has no bottom arc
+        for half in (lo, hi):
+            assert half is matching(half.bottom, half.top, half.pairs)
+        assert halves(x) is halves(x)
+
+
+RINGS = [QQ, PrimeFieldRing(2), PrimeFieldRing(3), PrimeFieldRing(5)]
+
+
+@st.composite
+def morphisms(draw, n, m, ring):
+    basis = enumerate_basis(n, m)
+    chosen = draw(st.lists(st.sampled_from(basis), max_size=8)) if basis else []
+    terms = {}
+    for mm in chosen:
+        num = draw(st.sampled_from([-2, -1, 1, 2]))
+        den = draw(st.sampled_from([1, 2, 3])) if ring is QQ else 1
+        c = ring.fraction(num, den) if ring is QQ else ring.from_int(num)
+        terms[mm] = terms.get(mm, ring.zero) + c
+    return TLMorphism(n, m, ring, ring.clean(terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_compose_matches_pairwise_oracle(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    parity = data.draw(st.integers(0, 1))
+    arity = st.sampled_from([a for a in range(7) if a % 2 == parity])
+    n, k, m = data.draw(arity), data.draw(arity), data.draw(arity)
+    f = data.draw(morphisms(n, k, ring))
+    g = data.draw(morphisms(k, m, ring))
+    assert compose(g, f) == _pairwise_compose(g, f)
+
+
+def test_compose_cancellation_and_zero():
+    jw2 = TLMorphism(2, 2, QQ, {identity_matching(2): QQ.one,
+                                e_matching(1, 2): QQ.fraction(1, 2)})
+    e1 = as_morphism(e_matching(1, 2))
+    assert compose(e1, jw2).is_zero()
+    # e1 and e3 have different top halves; each closes a loop against the caps
+    caps = as_morphism(matching(4, 0, [(0, 1), (2, 3)]))
+    diff = as_morphism(e_matching(1, 4)).sub(as_morphism(e_matching(3, 4)))
+    assert compose(caps, diff).is_zero()
+    assert compose(caps, as_morphism(e_matching(1, 4))) == caps.scale(QQ.from_int(-2))
+    assert compose(TLMorphism.zero(3, 1), TLMorphism.zero(3, 3)).is_zero()
 
 
 def integer_morphism(rng, n, m, max_terms=6):

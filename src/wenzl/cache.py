@@ -78,7 +78,10 @@ class DiskCache:
         want = self.manifest.get(name)
         if want is None or self._digest(payload) != want:
             raise CacheIntegrityError(f"checksum mismatch for {name}")
-        value = morphism_from_json(payload)
+        try:
+            value = morphism_from_json(payload)
+        except ValueError as exc:  # malformed under a matching checksum
+            raise CacheIntegrityError(f"malformed {name}: {exc}") from exc
         self._quick_checks(kind, ring_name, p, n, value, name)
         return value
 

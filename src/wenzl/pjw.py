@@ -50,10 +50,10 @@ from .jw import (
 )
 from .tl import (
     TLMorphism,
-    apply_e_top,
     apply_matching_left,
     compose,
     e_matching,
+    first_unkilled,
     identity_matching,
     markov_trace,
     matching_flip,
@@ -326,11 +326,8 @@ class BatteryReport:
 
 def _fresh_top_kill(x: TLMorphism, k: int) -> bool:
     """Recompute e_j o x == 0 for all j < k, ignoring memoized bounds."""
-    n = x.top
-    for j in range(1, min(k, n)):
-        if not apply_e_top(j, x).is_zero():
-            return False
-    return True
+    stop = min(k, x.top)
+    return first_unkilled(x, 1, stop) == stop
 
 
 def _recompute_lambda_table(n: int, p: int) -> dict[int, Fraction]:
@@ -399,11 +396,12 @@ def verify_battery(
     add("flip_invariant", dec.total.flip() == dec.total, "direct")
 
     # Markov closure of the total
+    closure = markov_closure(dec)
     add(
         "markov_closure",
-        markov_closure(dec) == expected_markov_closure(dec),
+        closure == expected_markov_closure(dec),
         "direct",
-        f"closure {markov_closure(dec)}",
+        f"closure {closure}",
     )
 
     if data.is_adam:
@@ -424,12 +422,8 @@ def verify_battery(
     # component traces pin the sandwich scalars
     for i, t in sorted(dec.terms.items()):
         expected = Fraction((-1) ** i * (i + 1)) / t.lam
-        add(
-            f"component_trace[{i}]",
-            markov_trace(t.u) == expected,
-            "direct",
-            f"trace {markov_trace(t.u)}",
-        )
+        trace = markov_trace(t.u)
+        add(f"component_trace[{i}]", trace == expected, "direct", f"trace {trace}")
 
     # sandwich facts: q_i o flip(q_j) = delta_ij (1/lambda_i) JW_i
     items = sorted(dec.terms.items())
@@ -457,10 +451,9 @@ def verify_battery(
                 add(name, ok, "certified", "kill-classification + trace")
 
     # component idempotence and orthogonality
-    for ai, (i, ti) in enumerate(items):
-        ui = ti.u.scale(ti.lam)
-        for j, tj in items[ai:]:
-            uj = tj.u.scale(tj.lam)
+    scaled = [(i, t.u.scale(t.lam)) for i, t in items]  # lambda_i u_i, once each
+    for ai, (i, ui) in enumerate(scaled):
+        for j, uj in scaled[ai:]:
             cost = len(ui.terms) * len(uj.terms)
             if i == j:
                 name = f"component_idempotent[{i}]"

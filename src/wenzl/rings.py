@@ -279,7 +279,23 @@ class RationalRing:
 
     @staticmethod
     def parse(s: str) -> Fraction:
-        return Fraction(s)
+        """Exactly the two forms ``format`` emits, "a" and "a/b" (b > 0).
+
+        Plain int parsing, not Fraction's general regular-expression parser;
+        anything else, a zero denominator included, raises ValueError.
+        """
+        if type(s) is not str:
+            raise ValueError(f"rational coefficient must be a string, got {s!r}")
+        num, slash, den = s.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if not (s.isascii() and digits.isdecimal() and (den.isdecimal() or not slash)):
+            raise ValueError(f"not a rational coefficient: {s!r}")
+        if not slash:
+            return Fraction(int(num))
+        d = int(den)
+        if not d:
+            raise ValueError(f"zero denominator in {s!r}")
+        return Fraction(int(num), d)
 
     def __repr__(self) -> str:
         return "RationalRing()"
@@ -348,6 +364,6 @@ def ring_by_name(name: str):
     """Inverse of the adapters' .name attribute ("Q" or "Fp:<p>")."""
     if name == "Q":
         return QQ
-    if name.startswith("Fp:"):
+    if isinstance(name, str) and name.startswith("Fp:"):
         return PrimeFieldRing(int(name[3:]))
     raise ValueError(f"unknown ring name {name!r}")

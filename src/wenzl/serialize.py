@@ -47,15 +47,26 @@ def morphism_to_dict(f: TLMorphism) -> dict[str, Any]:
 
 
 def morphism_from_dict(d: dict[str, Any]) -> TLMorphism:
-    ring = ring_by_name(d["ring"])
-    bottom, top = int(d["bottom"]), int(d["top"])
-    parse = ring.parse
-    terms = {}
-    for t in d["terms"]:
-        m = matching(bottom, top, t["pairs"])
-        c = parse(t["coeff"])
-        if c:
-            terms[m] = c
+    """The morphism of a parsed JSON document; ValueError if it is malformed."""
+    if not isinstance(d, dict):
+        raise ValueError("a morphism must be a JSON object")
+    try:
+        ring = ring_by_name(d["ring"])
+        bottom, top = int(d["bottom"]), int(d["top"])
+        if bottom < 0 or top < 0:
+            raise ValueError(f"negative arity {bottom}->{top}")
+        parse = ring.parse
+        terms = {}
+        for t in d["terms"]:
+            pairs = t["pairs"]
+            if 2 * len(pairs) != bottom + top:  # before matching() sizes a table
+                raise ValueError(f"{len(pairs)} pairs for {bottom}+{top} points")
+            m = matching(bottom, top, pairs)
+            c = parse(t["coeff"])
+            if c:
+                terms[m] = c
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed morphism: {exc!r}") from exc
     return TLMorphism(bottom, top, ring, terms)
 
 

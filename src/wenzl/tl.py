@@ -24,7 +24,15 @@ strands factors as x == hi(x) o lo(x), where lo(x): n -> t keeps the bottom
 arcs and hi(x): t -> m the top arcs (the cell structure of TL; Graham-Lehrer,
 *Cellular algebras*, 1996).  In a product g o f the middle boundary only
 sees hi of f's terms and lo of g's terms, so :func:`compose` walks that
-boundary once per pair of distinct halves, not once per pair of terms.
+boundary once per pair of distinct halves, not once per pair of terms.  The
+loop-free join hi' o lo' through s strands determines its halves, so the
+products are summed per cell (lo', hi') and each output matching is joined
+once.
+
+Checks that only ask whether something vanishes build no morphism: the
+generator-annihilation scans lift x to int numerators once and test the int
+sums of each rewiring, and a partial closure walks each diagram once with
+the closed points glued, instead of padding and composing.
 """
 
 from __future__ import annotations
@@ -181,11 +189,6 @@ def cap_matching() -> CrossinglessMatching:
 def nested_caps_matching(m: int) -> CrossinglessMatching:
     """2m -> 0, pairing point j with 2m-1-j (outermost arc first)."""
     return _intern(2 * m, 0, tuple(2 * m - 1 - j for j in range(2 * m)))
-
-
-@lru_cache(maxsize=None)
-def nested_cups_matching(m: int) -> CrossinglessMatching:
-    return matching_flip(nested_caps_matching(m))
 
 
 @lru_cache(maxsize=None)
@@ -530,7 +533,9 @@ def compose(g: TLMorphism, f: TLMorphism) -> TLMorphism:
     hi(mg) o [lo(mg) o hi(mf)] o lo(mf), and only the middle product mu can
     close loops.  Terms are grouped by the half that meets the middle, mu is
     walked once per pair of groups, and each group's coefficients are summed
-    onto lo(mu) o lo(mf) and hi(mg) o hi(mu) before the loop-free joins.
+    onto lo' = lo(mu) o lo(mf) and hi' = hi(mg) o hi(mu).  The products are
+    summed by cell (lo', hi') over all pairs of groups, and each nonzero cell
+    is joined into its output matching hi' o lo' exactly once.
     """
     if f.top != g.bottom:
         raise ValueError(f"arity mismatch: {f}.top != {g}.bottom")
@@ -549,8 +554,11 @@ def compose(g: TLMorphism, f: TLMorphism) -> TLMorphism:
     for mg, c in g_ints.items():
         lo, hi = mg._halves or halves(mg)
         g_by_lo.setdefault(lo, []).append((hi, c))
-    out: dict = {}
-    get = out.get
+    # cells[lo'][hi'] sums u * v for the loop-free join hi' o lo'.  A join
+    # through s strands determines its halves (lo' == lo(join), hi' ==
+    # hi(join)), so (lo', hi') -> hi' o lo' is injective: no two cells meet
+    # in one output matching, and each cell is joined once, after summing.
+    cells: dict = {}
     for hf, fs in f_by_hi.items():
         for lg, gs in g_by_lo.items():
             mu, r = mc(lg, hf)  # the one boundary walk of this pair of halves
@@ -568,12 +576,20 @@ def compose(g: TLMorphism, f: TLMorphism) -> TLMorphism:
                 if not u:
                     continue
                 u *= w
+                row = cells.get(lo)
+                if row is None:
+                    row = cells[lo] = {}
+                get = row.get
                 for hi, v in highs.items():
                     if v:
-                        key = mc(hi, lo)[0]
-                        prev = get(key)
-                        out[key] = u * v if prev is None else prev + u * v
-    return TLMorphism(f.bottom, g.top, ring, ring.settle(out, f_den * g_den))
+                        prev = get(hi)
+                        row[hi] = u * v if prev is None else prev + u * v
+    out: dict = {}
+    den = f_den * g_den
+    for lo, row in cells.items():
+        for hi, c in ring.settle(row, den).items():
+            out[mc(hi, lo)[0]] = c
+    return TLMorphism(f.bottom, g.top, ring, out)
 
 
 def apply_matching_left(
@@ -637,15 +653,61 @@ def partial_close_right(f: TLMorphism, m: int) -> TLMorphism:
     nested arcs, so an n->k morphism becomes (n-m)->(k-m).  Closing a through
     strand of the identity creates a closed loop and hence a factor -2; the
     m = bottom = top case is the full Markov closure.
+
+    Each diagram is walked once with its top label n+t glued to its bottom
+    label n-1-t for t < m: the walk joins the free ends and counts the closed
+    loops (as :func:`markov_trace` does), the int sums are settled once, and
+    nothing is padded or composed.
     """
     if m == 0:
         return f
-    if m > f.bottom or m > f.top:
-        raise ValueError(f"cannot close {m} strands of {f.bottom}->{f.top}")
-    pre = matching_tensor(identity_matching(f.bottom - m), nested_cups_matching(m))
-    post = matching_tensor(identity_matching(f.top - m), nested_caps_matching(m))
-    padded = tensor_with_identity(f, m)
-    return apply_matching_left(post, apply_matching_right(pre, padded))
+    n, k = f.bottom, f.top
+    if m > n or m > k:
+        raise ValueError(f"cannot close {m} strands of {n}->{k}")
+    ring = f.ring
+    ints, den = ring.lift(f.terms)
+    pw = _loop_powers(m)
+    total = n + k
+    glued_lo, glued_hi = n - m, n + m  # glued labels g pair with 2n-1-g
+    mirror = 2 * n - 1
+    shift = 2 * m  # a free top label drops by 2m in the result
+    out: dict = {}
+    get = out.get
+    for mm, c in ints.items():
+        pm = mm.partner
+        seen = bytearray(total)
+        res = [-1] * (total - shift)
+        for s in itertools.chain(range(glued_lo), range(glued_hi, total)):
+            if seen[s]:
+                continue
+            y = pm[s]
+            while glued_lo <= y < glued_hi:
+                seen[y] = 1
+                y = mirror - y
+                seen[y] = 1
+                y = pm[y]
+            seen[y] = 1
+            a = s if s < glued_lo else s - shift
+            b = y if y < glued_lo else y - shift
+            res[a] = b
+            res[b] = a
+        loops = 0
+        for s in range(glued_lo, glued_hi):
+            if seen[s]:
+                continue
+            loops += 1
+            y = s
+            while not seen[y]:
+                seen[y] = 1
+                z = pm[y]
+                seen[z] = 1
+                y = mirror - z
+        key = _intern(n - m, k - m, res)
+        if loops:
+            c = c * pw[loops]
+        prev = get(key)
+        out[key] = c if prev is None else prev + c
+    return TLMorphism(n - m, k - m, ring, ring.settle(out, den))
 
 
 def markov_trace(f: TLMorphism):
@@ -704,13 +766,20 @@ def apply_e_bottom(i: int, x: TLMorphism, scalar=None) -> TLMorphism:
 
 
 def _rewire(x: TLMorphism, la: int, lb: int, scalar) -> TLMorphism:
-    """scalar * x with boundary labels la, lb joined by a generator arc.
-
-    The strands that ended at la and lb are spliced into one, and la, lb
-    become partners; when they already were, a loop closes (-2).
-    """
+    """scalar * x with boundary labels la, lb joined by a generator arc."""
     ring = x.ring
     ints, den = ring.lift(x.terms, scalar)
+    out = ring.settle(_rewire_ints(ints, la, lb), den)
+    return TLMorphism(x.bottom, x.top, ring, out)
+
+
+def _rewire_ints(ints: dict, la: int, lb: int) -> dict:
+    """The int sums of a lifted coefficient map with labels la, lb joined.
+
+    The strands that ended at la and lb are spliced into one, and la, lb
+    become partners; when they already were, a loop closes (-2).  Sums are
+    keyed by the interned result matching and left unnormalised.
+    """
     out: dict = {}
     get = out.get
     for m, c in ints.items():
@@ -729,7 +798,7 @@ def _rewire(x: TLMorphism, la: int, lb: int, scalar) -> TLMorphism:
             key = _intern(m.bottom, m.top, lst)
         prev = get(key)
         out[key] = c if prev is None else prev + c
-    return TLMorphism(x.bottom, x.top, ring, ring.settle(out, den))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -737,23 +806,46 @@ def _rewire(x: TLMorphism, la: int, lb: int, scalar) -> TLMorphism:
 # ---------------------------------------------------------------------------
 
 
+def first_unkilled(x: TLMorphism, start: int, stop: int, top: bool = True) -> int:
+    """The first i in [start, stop) with e_i o x != 0 (x o e_i on the bottom).
+
+    Returns stop when every generator in the range kills x.  x is lifted to
+    int numerators once for the whole scan, and each e_i is tested on the
+    int sums of the rewiring (``ring.clean`` empties exactly on zero), so
+    no morphism is built or settled.
+    """
+    start = max(start, 1)
+    if start >= stop:
+        return stop
+    ring = x.ring
+    ints = ring.lift(x.terms)[0]
+    clean = ring.clean
+    edge = x.bottom + x.top  # top position i-1 has label edge-i
+    for i in range(start, stop):
+        la, lb = (edge - i, edge - i - 1) if top else (i - 1, i)
+        if clean(_rewire_ints(ints, la, lb)):
+            return i
+    return stop
+
+
 def top_killed_upto(x: TLMorphism, k: int) -> bool:
     """Verify e_i o x == 0 for every 1 <= i < k, extending a cached bound.
 
-    The verification is a real computation (batched composition with each
-    e_i); the result is memoized on the morphism.
+    The verification is a real computation (see :func:`first_unkilled`);
+    the result is memoized on the morphism: after a failure at i the bound
+    is i.
     """
     if x.bottom == 0 and x.top == 0:
         return True
     if x._top_kill >= k:
         return True
     n = x.top
-    for i in range(x._top_kill, min(k, n)):
-        if i < 1:
-            continue
-        if not apply_e_top(i, x).is_zero():
-            return False
-        x._top_kill = i + 1
+    stop = min(k, n)
+    first = first_unkilled(x, x._top_kill, stop, top=True)
+    if first < stop:
+        x._top_kill = first
+        return False
+    x._top_kill = max(x._top_kill, stop)
     return x._top_kill >= k or k > n
 
 
@@ -764,10 +856,10 @@ def bottom_killed_upto(x: TLMorphism, k: int) -> bool:
     if x._bot_kill >= k:
         return True
     n = x.bottom
-    for i in range(x._bot_kill, min(k, n)):
-        if i < 1:
-            continue
-        if not apply_e_bottom(i, x).is_zero():
-            return False
-        x._bot_kill = i + 1
+    stop = min(k, n)
+    first = first_unkilled(x, x._bot_kill, stop, top=False)
+    if first < stop:
+        x._bot_kill = first
+        return False
+    x._bot_kill = max(x._bot_kill, stop)
     return x._bot_kill >= k or k > n

@@ -24,3 +24,14 @@ def test_tampered_fp_pjw_refused(tmp_path, reduced, p, scale):
     cache.store_morphism("pjw", p, 7, reduced.scale(reduced.ring.from_int(scale)))
     with pytest.raises(CacheIntegrityError, match="defining checks"):
         cache.load_morphism("pjw", "Fp:3", p, 7)
+
+
+def test_malformed_entry_refused(tmp_path, reduced):
+    # a payload that no longer parses, filed with a matching checksum
+    cache = DiskCache(tmp_path)
+    path = cache.store_morphism("pjw", 3, 7, reduced)
+    payload = path.read_text().replace('"coeff"', '"c"', 1)
+    path.write_text(payload)
+    cache.manifest[path.name] = cache._digest(payload)
+    with pytest.raises(CacheIntegrityError, match="malformed"):
+        cache.load_morphism("pjw", "Fp:3", 3, 7)

@@ -1,9 +1,14 @@
 """Exit-code contract and output formats of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wenzl
 from wenzl import cli
 from wenzl.cli import main
 from wenzl.jw import JWVerificationError
@@ -116,6 +121,29 @@ def test_render_roundtrip(tmp_path, capsys):
 
 def test_render_bad_file(capsys):
     assert main(["render", "/nonexistent/morphism.json"]) == 1
+
+
+_TERM = {"pairs": [[0, 3], [1, 2]], "coeff": "1/2"}
+_MALFORMED = {
+    "zero_denominator": {"bottom": 2, "top": 2, "ring": "Q",
+                         "terms": [dict(_TERM, coeff="1/0")]},
+    "missing_coeff": {"bottom": 2, "top": 2, "ring": "Q",
+                      "terms": [{"pairs": _TERM["pairs"]}]},
+    "top_level_array": [_TERM],
+}
+
+
+@pytest.mark.parametrize("doc", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_render_malformed_morphism(doc):
+    # a real process, so an escaping exception would show as a traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(wenzl.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wenzl.cli", "render", "-"],
+        input=json.dumps(doc), capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 def test_verify_quick(capsys):

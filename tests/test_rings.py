@@ -147,6 +147,20 @@ def test_lift_settle_is_exact(terms, s):
     assert F.divide(-1, 1) == 6
 
 
+@given(st.fractions(max_denominator=10**12))
+def test_rational_parse_reads_what_format_writes(x):
+    assert QQ.parse(QQ.format(x)) == x == Fraction(QQ.format(x))
+
+
+@pytest.mark.parametrize(
+    "text", ["1/0", "-3/00", "", "-", "/2", "1/", "+1", " 1", "1.5", "1e3",
+             "1/-2", "1/2/3", "1_000", "\u0663", 3, None],
+)
+def test_rational_parse_refuses_other_forms(text):
+    with pytest.raises(ValueError):
+        QQ.parse(text)
+
+
 def test_ring_by_name_roundtrip():
     assert ring_by_name("Q") is QQ
     assert ring_by_name("Fp:5") == PrimeFieldRing(5)

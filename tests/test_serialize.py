@@ -98,3 +98,30 @@ def test_decomposition_roundtrip_all_computed(caches):
 def test_hecke_roundtrip():
     x = HeckeElement({3: LaurentPoly({1: 1, -1: 1}), 5: LaurentPoly.constant(2)})
     assert hecke_from_json(hecke_to_json(x)) == x
+
+
+_ID2 = [[0, 3], [1, 2]]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"bottom": 2, "top": 2, "ring": "Q", "terms": [{"pairs": _ID2, "coeff": "1/0"}]},
+        {"bottom": 2, "top": 2, "ring": "Q", "terms": [{"pairs": _ID2}]},
+        {"bottom": 2, "top": 2, "ring": "Q", "terms": [{"coeff": "1"}]},
+        {"bottom": 2, "top": 2, "terms": []},
+        {"bottom": 2, "top": 2, "ring": 5, "terms": []},
+        {"bottom": 2, "top": 2, "ring": "Q", "terms": [{"pairs": 5, "coeff": "1"}]},
+        {"bottom": 2, "top": 2, "ring": "Q", "terms": {"pairs": _ID2}},
+        {"bottom": -2, "top": 2, "ring": "Q", "terms": [{"pairs": [], "coeff": "1"}]},
+        {"bottom": 10**12, "top": 2, "ring": "Q", "terms": [{"pairs": _ID2, "coeff": "1"}]},
+        [{"pairs": _ID2, "coeff": "1"}],
+        "morphism",
+    ],
+    ids=["zero_denominator", "missing_coeff", "missing_pairs", "missing_ring",
+         "ring_not_a_name", "pairs_not_a_list", "terms_not_a_list", "negative_arity",
+         "pairs_short_of_arity", "top_level_array", "top_level_string"],
+)
+def test_morphism_from_dict_refuses_malformed(doc):
+    with pytest.raises(ValueError):
+        morphism_from_dict(doc)

@@ -7,7 +7,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wenzl.rings import PrimeFieldRing, QQ
+from wenzl.jw import jones_wenzl
+from wenzl.rings import NonInvertible, PrimeFieldRing, QQ
 from wenzl.tl import (
     CrossinglessMatching,
     TLMorphism,
@@ -20,7 +21,9 @@ from wenzl.tl import (
     cap_matching,
     cup_matching,
     e_matching,
+    bottom_killed_upto,
     enumerate_basis,
+    first_unkilled,
     halves,
     identity_matching,
     markov_trace,
@@ -33,6 +36,7 @@ from wenzl.tl import (
     partial_close_right,
     right_collapse_matching,
     tensor_with_identity,
+    top_killed_upto,
 )
 
 
@@ -290,6 +294,95 @@ def test_compose_cancellation_and_zero():
     assert compose(TLMorphism.zero(3, 1), TLMorphism.zero(3, 3)).is_zero()
 
 
+# ---------------------------------------------------------------------------
+# Annihilation scans against per-generator application
+# ---------------------------------------------------------------------------
+
+
+def _first_unkilled_oracle(x, start, stop, top):
+    apply = apply_e_top if top else apply_e_bottom
+    for i in range(max(start, 1), stop):
+        if not apply(i, x).is_zero():
+            return i
+    return stop
+
+
+def _killed_upto_oracle(x, k, top):
+    """The per-generator scan with its memo bound, on a shadow copy's slot."""
+    slot = "_top_kill" if top else "_bot_kill"
+    n = x.top if top else x.bottom
+    apply = apply_e_top if top else apply_e_bottom
+    if x.bottom == 0 and x.top == 0:
+        return True
+    if getattr(x, slot) >= k:
+        return True
+    for i in range(getattr(x, slot), min(k, n)):
+        if i < 1:
+            continue
+        if not apply(i, x).is_zero():
+            return False
+        setattr(x, slot, i + 1)
+    return getattr(x, slot) >= k or k > n
+
+
+@st.composite
+def scan_inputs(draw):
+    """A morphism over Q or F_p, half of them killed by a projector on top."""
+    ring = draw(st.sampled_from(RINGS))
+    parity = draw(st.integers(0, 1))
+    arity = st.sampled_from([a for a in range(7) if a % 2 == parity])
+    n, k = draw(arity), draw(arity)
+    x = draw(morphisms(n, k, ring))
+    if k >= 2 and draw(st.booleans()):
+        j = draw(st.integers(2, k))
+        try:
+            jw = jones_wenzl(j, ring)
+        except NonInvertible:  # JW_j is not defined over this F_p
+            j, jw = 1, jones_wenzl(1, ring)
+        x = compose(tensor_with_identity(jw, k - j), x)
+    if draw(st.booleans()):
+        x = x.flip()  # killed on the bottom instead
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_inputs(), st.data())
+def test_scan_matches_generator_application(x, data):
+    for top in (True, False):
+        n = x.top if top else x.bottom
+        start = data.draw(st.integers(0, n + 1))
+        stop = data.draw(st.integers(0, n))
+        want = _first_unkilled_oracle(x, start, stop, top)
+        assert first_unkilled(x, start, stop, top) == want
+    # memo bounds through a sequence of scans, against the old per-generator
+    # loop run on a copy with its own bounds
+    scanned = TLMorphism(x.bottom, x.top, x.ring, x.terms)
+    shadow = TLMorphism(x.bottom, x.top, x.ring, x.terms)
+    for _ in range(3):
+        top = data.draw(st.booleans())
+        k = data.draw(st.integers(0, max(x.bottom, x.top) + 1))
+        scan = top_killed_upto if top else bottom_killed_upto
+        assert scan(scanned, k) == _killed_upto_oracle(shadow, k, top)
+        assert (scanned._top_kill, scanned._bot_kill) == (
+            shadow._top_kill, shadow._bot_kill
+        )
+
+
+def test_scan_bound_after_failure():
+    # x = (JW_2 (x) id_2) o e_3 = e_3 + e_1 e_3 / 2 is killed by e_1 on both
+    # sides and by no other generator, so both bounds stop at 2
+    jw2 = tensor_with_identity(jones_wenzl(2, QQ), 2)
+    x = compose(jw2, as_morphism(e_matching(3, 4)))
+    assert not top_killed_upto(x, 4)
+    assert x._top_kill == 2
+    assert top_killed_upto(x, 2)
+    assert not bottom_killed_upto(x, 4)
+    assert x._bot_kill == 2
+    e3 = as_morphism(e_matching(3, 4), PrimeFieldRing(3))
+    assert not top_killed_upto(e3, 3)
+    assert e3._top_kill == 1  # failed at the first generator scanned
+
+
 def integer_morphism(rng, n, m, max_terms=6):
     basis = enumerate_basis(n, m)
     terms = {
@@ -391,15 +484,24 @@ def test_markov_trace_cyclic():
 
 
 def test_collapse_conjugation_is_partial_closure():
-    # capping m padded strands over x equals the m-strand right closure
+    # capping m padded strands over f: n -> k equals the m-strand right
+    # closure; the pad-and-compose path is the oracle for the one-walk closure
     rng = random.Random(13)
-    for n, m in [(3, 1), (4, 2), (2, 1)]:
-        for _ in range(8):
-            x = random_morphism(rng, n, n)
-            w = right_collapse_matching(n, m)
-            wf = matching_flip(w)
-            conj = apply_matching_left(w, apply_matching_right(wf, tensor_with_identity(x, m)))
-            assert conj == partial_close_right(x, m)
+    shapes = [(3, 3, 1), (4, 4, 2), (2, 2, 1), (3, 5, 1), (5, 3, 3), (4, 2, 2),
+              (2, 6, 2), (6, 4, 3), (1, 1, 1), (2, 2, 2), (4, 4, 4), (5, 5, 5)]
+    for ring in RINGS[:3]:
+        for n, k, m in shapes:
+            pre = matching_flip(right_collapse_matching(n, m))
+            post = right_collapse_matching(k, m)
+            for _ in range(6):
+                f = random_morphism(rng, n, k, ring, max_terms=10)
+                padded = tensor_with_identity(f, m)
+                conj = apply_matching_left(post, apply_matching_right(pre, padded))
+                assert partial_close_right(f, m) == conj
+    with pytest.raises(ValueError):
+        partial_close_right(TLMorphism.identity(2), 3)
+    with pytest.raises(ValueError):
+        partial_close_right(TLMorphism.zero(1, 3), 2)
 
 
 def test_through_strand_count():

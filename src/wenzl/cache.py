@@ -40,10 +40,16 @@ class DiskCache:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.directory / "manifest.json"
+        self.manifest = {}
         if self.manifest_path.exists():
-            self.manifest = json.loads(self.manifest_path.read_text())
-        else:
-            self.manifest = {}
+            try:
+                self.manifest = json.loads(self.manifest_path.read_bytes())
+            except ValueError as exc:  # not UTF-8 or not JSON
+                raise CacheIntegrityError(f"unreadable manifest: {exc}") from exc
+            if not isinstance(self.manifest, dict) or not all(
+                type(v) is str for v in self.manifest.values()
+            ):
+                raise CacheIntegrityError("manifest is not a map of digest strings")
 
     def _write_manifest(self) -> None:
         self.manifest_path.write_text(json.dumps(self.manifest, indent=0, sort_keys=True))

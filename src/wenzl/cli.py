@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .cache import CacheIntegrityError, DiskCache, default_cache_dir
 from .hecke import lemma_positivity_check, p_canonical

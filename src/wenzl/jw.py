@@ -17,11 +17,19 @@ test suite checks them against each other and against a brute-force solve of
 the defining linear system); every cache insertion re-verifies the defining
 properties.
 
+Both uses of the expansion, building JW_k and applying it, run on int
+numerators through generator rewirings (``tl.rewire_ints``): one lift, one
+O(1) splice per diagram and generator, one settle, and no ladder diagram.
+Building walks x o e_{k-1}, x o e_{k-1} e_{k-2}, ... with one rewiring per
+step.  Applying evaluates each layer L by Horner's rule, acc <- e_j (acc +
+j cur) for j = h .. L-1, which costs L - h rewirings where one generator
+chain per ladder word would cost (L-h)(L-h+1)/2.
+
 `apply_jw` composes a projector onto an arbitrary morphism without ever
 multiplying two large linear combinations: if the target is already
 annihilated by the relevant generators the projector acts as the identity,
-and otherwise the expansion layers are applied one diagram at a time,
-skipping layer terms that a verified annihilation bound kills.
+and otherwise the expansion layers are applied, skipping the layer terms
+that a verified annihilation bound h kills.
 """
 
 from __future__ import annotations
@@ -30,29 +38,20 @@ from fractions import Fraction
 from typing import Optional
 
 from .rings import NonInvertible, NotPIntegral, PrimeFieldRing, QQ
-from . import tl
 from .tl import (
     TLMorphism,
-    apply_e_top,
     apply_matching_left,
     bottom_killed_upto,
     catalan,
     compose,
     e_matching,
     enumerate_basis,
-    identity_matching,
-    markov_trace,
-    matching_compose,
     matching_flip,
-    matching_tensor,
     partial_close_right,
+    rewire_ints,
     tensor_with_identity,
     top_killed_upto,
 )
-
-# Term-count product above which pairwise composition is considered too
-# expensive and the layered clasp application is used instead.
-DIRECT_BUDGET = 1_500_000
 
 
 class JWVerificationError(RuntimeError):
@@ -89,22 +88,12 @@ class JWCache:
 GLOBAL_JW_CACHE = JWCache()
 
 
-_LADDER: dict[tuple[int, int, int], tl.CrossinglessMatching] = {}
-
-
-def _ladder_matching(k: int, j: int, pad: int) -> tl.CrossinglessMatching:
-    """The diagram e_{k-1} e_{k-2} ... e_j in TL_k, padded by pad strands."""
-    key = (k, j, pad)
-    m = _LADDER.get(key)
-    if m is None:
-        cur = e_matching(k - 1, k)
-        for i in range(k - 2, j - 1, -1):
-            cur, loops = matching_compose(cur, e_matching(i, k))
-            assert loops == 0
-        if pad:
-            cur = matching_tensor(cur, identity_matching(pad))
-        m = _LADDER[key] = cur
-    return m
+def _add_scaled(acc: dict, a: int, ints: dict) -> dict:
+    """acc += a * ints on int sums, in place; returns acc."""
+    get = acc.get
+    for m, c in ints.items():
+        acc[m] = get(m, 0) + a * c
+    return acc
 
 
 def jones_wenzl(n: int, ring=QQ, cache: Optional[JWCache] = None) -> TLMorphism:
@@ -140,11 +129,15 @@ def jones_wenzl(n: int, ring=QQ, cache: Optional[JWCache] = None) -> TLMorphism:
         prev = cache.get(ring, k - 1)
         if prev is None:
             prev = jones_wenzl(k - 1, ring, cache)
-        right = {identity_matching(k): QQ.one}
-        for j in range(1, k):
-            right[_ladder_matching(k, j, 0)] = QQ.fraction(j, k)
-        grown = tensor_with_identity(prev, 1)
-        cache.insert(ring, k, compose(grown, TLMorphism(k, k, ring, right)))
+        # k x + sum_j j (x o e_{k-1} ... e_j) over k den, x = JW_{k-1} (x) id
+        x, den = ring.lift(tensor_with_identity(prev, 1).terms)
+        acc = _add_scaled({}, k, x)
+        t = x
+        for j in range(k - 1, 0, -1):
+            t = rewire_ints(t, j - 1, j)  # t o e_j
+            _add_scaled(acc, j, t)
+        value = TLMorphism(k, k, ring, ring.settle(acc, k * den))
+        cache.insert(ring, k, value)
 
     if n <= 1:
         value = TLMorphism.identity(n, ring)
@@ -157,19 +150,19 @@ def apply_jw(
 ) -> TLMorphism:
     """(JW_k (x) id_pad) o x, never multiplying two large combinations.
 
-    Fast paths, in order:
+    Three paths, in order:
 
-    * if x is verified to be annihilated by e_1..e_{k-1} on top, the
-      projector acts as the identity (every non-identity diagram of JW_k
-      factors through a generator, so it kills x);
-    * if the pairwise product is small, or x is not over Q, compose
-      directly with the cached projector;
-    * otherwise apply the one-new-strand expansion layer by layer.  A
-      verified annihilation bound h (e_i o x == 0 for i < h) prunes layer
-      terms: the bound drops by at most one per layer, so skipped terms are
-      genuinely zero.
+    * identity: if x is verified to be annihilated by e_1..e_{k-1} on top,
+      the projector acts as the identity (every non-identity diagram of
+      JW_k factors through a generator, so it kills x);
+    * direct: if x is not over Q, or the cost estimate puts the pairwise
+      product with the cached projector at or below the layered one,
+      compose directly;
+    * ladder: otherwise apply the one-new-strand expansion layer by layer
+      through generator rewirings (see :func:`_ladder`).
 
-    The expansion's scalars j/layer can have p in the denominator even when
+    The estimate alone selects between the direct and the ladder path.  The
+    expansion's scalars j/layer can have p in the denominator even when
     JW_k exists over F_p, so over F_p only the direct path is exact; it
     raises NonInvertible when JW_k is undefined there.
     """
@@ -181,39 +174,36 @@ def apply_jw(
     if top_killed_upto(x, k):
         return x
 
-    # choose the cheaper evaluation: pairwise against the cached projector,
-    # or layer by layer (intermediate supports stay inside Hom(bottom, top))
+    # pairwise against the cached projector, or layer by layer
+    # (intermediate supports stay inside Hom(bottom, top))
     direct_cost = len(x.terms) * catalan(k)
     ladder_cost = (k * k // 2) * catalan((x.bottom + x.top) // 2)
-    if x.ring is not QQ or direct_cost <= min(ladder_cost, DIRECT_BUDGET):
+    if x.ring is not QQ or direct_cost <= ladder_cost:
         jw = jones_wenzl(k, x.ring, cache)
         if pad:
             jw = tensor_with_identity(jw, pad)
         return compose(jw, x)
+    return _ladder(k, x)
 
-    h = x._top_kill  # verified: e_i o x == 0 for all i < h
-    cur = x
+
+def _ladder(k: int, x: TLMorphism) -> TLMorphism:
+    """(JW_k (x) id) o x over Q, layer L = k .. 2 mapping cur to
+    (L cur + sum_{h<=j<L} j e_{L-1} ... e_j cur) / L (see the module notes).
+
+    The verified bound h = x._top_kill (e_i o x == 0 for i < h) makes every
+    skipped word vanish, and it drops by at most one per layer.
+    """
+    cur, den = QQ.lift(x.terms)
+    edge = x.bottom + x.top  # top position i-1 has label edge - i
+    h = x._top_kill
     for layer in range(k, 1, -1):
-        adds = []
+        acc: dict = {}
         for j in range(max(1, h), layer):
-            scalar = QQ.fraction(j, layer)
-            if layer - j <= 4:
-                # short ladder word: chain the O(1) generator rewirings
-                t = apply_e_top(j, cur, scalar)
-                for i in range(j + 1, layer):
-                    if t.is_zero():
-                        break
-                    t = apply_e_top(i, t)
-            else:
-                t = apply_matching_left(
-                    _ladder_matching(layer, j, pad + k - layer), cur, scalar
-                )
-            if not t.is_zero():
-                adds.append(t)
-        for t in adds:
-            cur = cur.add(t)
+            acc = rewire_ints(_add_scaled(acc, j, cur), edge - j, edge - j - 1)
+        cur = _add_scaled(acc, layer, cur)
+        den *= layer
         h = max(1, h - 1)
-    return cur
+    return TLMorphism(x.bottom, x.top, QQ, QQ.settle(cur, den))
 
 
 def absorbs_certificate(x: TLMorphism) -> bool:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .padic import PSupportData, p_adic_expansion, p_support
+from .padic import p_adic_expansion, p_support
 from .rings import NotPIntegral, PrimeFieldRing, QQ, p_valuation
 from .jw import (
     GLOBAL_JW_CACHE,
@@ -46,13 +46,11 @@ from .jw import (
     absorbs_certificate,
     apply_jw,
     jones_wenzl,
-    lambda_closure_scalar,
 )
 from .tl import (
     TLMorphism,
     apply_matching_left,
     compose,
-    e_matching,
     first_unkilled,
     identity_matching,
     markov_trace,

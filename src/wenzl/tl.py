@@ -769,11 +769,11 @@ def _rewire(x: TLMorphism, la: int, lb: int, scalar) -> TLMorphism:
     """scalar * x with boundary labels la, lb joined by a generator arc."""
     ring = x.ring
     ints, den = ring.lift(x.terms, scalar)
-    out = ring.settle(_rewire_ints(ints, la, lb), den)
+    out = ring.settle(rewire_ints(ints, la, lb), den)
     return TLMorphism(x.bottom, x.top, ring, out)
 
 
-def _rewire_ints(ints: dict, la: int, lb: int) -> dict:
+def rewire_ints(ints: dict, la: int, lb: int) -> dict:
     """The int sums of a lifted coefficient map with labels la, lb joined.
 
     The strands that ended at la and lb are spliced into one, and la, lb
@@ -823,7 +823,7 @@ def first_unkilled(x: TLMorphism, start: int, stop: int, top: bool = True) -> in
     edge = x.bottom + x.top  # top position i-1 has label edge-i
     for i in range(start, stop):
         la, lb = (edge - i, edge - i - 1) if top else (i - 1, i)
-        if clean(_rewire_ints(ints, la, lb)):
+        if clean(rewire_ints(ints, la, lb)):
             return i
     return stop
 

@@ -35,3 +35,14 @@ def test_malformed_entry_refused(tmp_path, reduced):
     cache.manifest[path.name] = cache._digest(payload)
     with pytest.raises(CacheIntegrityError, match="malformed"):
         cache.load_morphism("pjw", "Fp:3", 3, 7)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[]", "not json", '{"jw_Q_p0_n3.json": 7}', '"digest"', "\xff"],
+    ids=["array", "not_json", "digest_not_string", "string", "not_utf8"],
+)
+def test_malformed_manifest_refused(tmp_path, text):
+    (tmp_path / "manifest.json").write_bytes(text.encode("latin-1"))
+    with pytest.raises(CacheIntegrityError, match="manifest"):
+        DiskCache(tmp_path)

@@ -192,6 +192,28 @@ def test_verify_detects_tampered_manifest(tmp_path, capsys):
     assert "defining checks" in err
 
 
+@pytest.mark.parametrize("manifest", ["[]", "{not json"], ids=["array", "not_json"])
+@pytest.mark.parametrize(
+    "argv",
+    [["jw", "--n", "3"], ["verify", "--p", "2", "--max-n", "2", "--depth", "quick"]],
+    ids=["jw", "verify"],
+)
+def test_malformed_manifest_exit_3(tmp_path, manifest, argv):
+    # a real process, so an escaping exception would show as a traceback
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    (cache_dir / "manifest.json").write_text(manifest)
+    env = dict(os.environ, PYTHONPATH=str(Path(wenzl.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wenzl.cli", "--cache-dir", str(cache_dir), *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("cache integrity failure: ")
+    assert proc.stdout == ""
+
+
 def test_verify_records_closure_failure(monkeypatch, capsys):
     def broken_close_jw(n, m, cache=None):
         raise JWVerificationError(f"closure of JW_{n} is wrong")

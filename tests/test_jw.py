@@ -7,6 +7,7 @@ import pytest
 
 from wenzl.jw import (
     JWCache,
+    _ladder,
     apply_jw,
     close_jw,
     jones_wenzl,
@@ -19,13 +20,16 @@ from wenzl.tl import (
     TLMorphism,
     apply_e_bottom,
     apply_e_top,
+    apply_matching_left,
     compose,
     e_matching,
     enumerate_basis,
     identity_matching,
     markov_trace,
     matching_compose,
+    matching_tensor,
     tensor_with_identity,
+    top_killed_upto,
 )
 
 
@@ -82,6 +86,120 @@ def jw_by_linear_solve(n: int) -> TLMorphism:
         if rows[i][dim]:
             sol[basis[col]] = rows[i][dim]
     return TLMorphism(n, n, QQ, sol)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the one-new-strand expansion spelled out with ladder-word
+# diagrams, composed with the k-term right factor (construction) and applied
+# one word at a time (the layered application).
+# ---------------------------------------------------------------------------
+
+
+def word_matching(k: int, j: int, pad: int):
+    """The diagram e_{k-1} e_{k-2} ... e_j in TL_k, padded by pad strands."""
+    cur = e_matching(k - 1, k)
+    for i in range(k - 2, j - 1, -1):
+        cur, loops = matching_compose(cur, e_matching(i, k))
+        assert loops == 0
+    return matching_tensor(cur, identity_matching(pad)) if pad else cur
+
+
+def jw_by_right_factor(n: int) -> TLMorphism:
+    """JW_n = (JW_{n-1} (x) id) o (id + sum_j (j/n) e_{n-1} ... e_j)."""
+    jw = TLMorphism.identity(min(n, 1))
+    for k in range(2, n + 1):
+        right = {identity_matching(k): QQ.one}
+        for j in range(1, k):
+            right[word_matching(k, j, 0)] = QQ.fraction(j, k)
+        jw = compose(tensor_with_identity(jw, 1), TLMorphism(k, k, QQ, right))
+    return jw
+
+
+def per_word_ladder(k: int, x: TLMorphism) -> TLMorphism:
+    """(JW_k (x) id) o x, layer by layer, each ladder word on its own.
+
+    Short words chain generator rewirings, long ones apply the padded word
+    diagram; words below the verified bound x._top_kill are skipped.
+    """
+    pad = x.top - k
+    h = x._top_kill
+    cur = x
+    for layer in range(k, 1, -1):
+        adds = []
+        for j in range(max(1, h), layer):
+            scalar = QQ.fraction(j, layer)
+            if layer - j <= 4:
+                t = apply_e_top(j, cur, scalar)
+                for i in range(j + 1, layer):
+                    if t.is_zero():
+                        break
+                    t = apply_e_top(i, t)
+            else:
+                t = apply_matching_left(
+                    word_matching(layer, j, pad + k - layer), cur, scalar
+                )
+            if not t.is_zero():
+                adds.append(t)
+        for t in adds:
+            cur = cur.add(t)
+        h = max(1, h - 1)
+    return cur
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_construction_matches_right_factor_oracle(n, jw_cache):
+    assert jones_wenzl(n, QQ, jw_cache) == jw_by_right_factor(n)
+
+
+def _random_rational_morphism(rng, nbot, ntop, size):
+    basis = enumerate_basis(nbot, ntop)
+    terms = {
+        mm: QQ.fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+        for mm in rng.sample(basis, min(size, len(basis)))
+    }
+    return TLMorphism(nbot, ntop, QQ, terms)
+
+
+def test_ladder_matches_oracles(jw_cache):
+    """The Horner ladder against compose and the per-word ladder over Q.
+
+    Three kinds of input: random combinations; (JW_j (x) id) o y, whose
+    verified bound h = j > 1 makes the ladder skip words; and e_i o y with
+    i < k, which JW_k annihilates, so the layers must cancel to zero.  The
+    counts at the end keep each kind, and nonzero results, represented.
+    """
+    rng = random.Random(41)
+    pruned = cancelled = kept = 0
+    for case in range(60):
+        k, pad = rng.choice([(3, 0), (4, 0), (4, 1), (5, 0), (5, 2), (6, 0), (6, 1)])
+        nbot = k + pad + rng.choice([-2, 0, 0, 2])
+        y = _random_rational_morphism(rng, nbot, k + pad, rng.randint(1, 6))
+        if nbot >= k and rng.random() < 0.7:
+            # a diagram with k through strands on the left, which JW_k keeps
+            rest = rng.choice(enumerate_basis(nbot - k, pad))
+            y = y.add(TLMorphism.from_matching(
+                matching_tensor(identity_matching(k), rest), coeff=QQ.fraction(1, 3)
+            ))
+        kind = case % 3
+        if kind == 1:
+            j = rng.randint(2, k - 1)
+            x = compose(tensor_with_identity(jones_wenzl(j, QQ, jw_cache), k + pad - j), y)
+        elif kind == 2:
+            x = apply_e_top(rng.randint(1, k - 1), y)
+        else:
+            x = y
+        if x.is_zero() or top_killed_upto(x, k):
+            continue
+        want = compose(tensor_with_identity(jones_wenzl(k, QQ, jw_cache), pad), x)
+        got = _ladder(k, x)
+        assert got == want, (case, k, pad, nbot)
+        assert got == per_word_ladder(k, x), (case, k, pad, nbot)
+        if kind == 1:
+            assert x._top_kill >= j
+        pruned += x._top_kill > 1
+        cancelled += got.is_zero()
+        kept += not got.is_zero()
+    assert min(pruned, cancelled, kept) >= 10, (pruned, cancelled, kept)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -249,38 +367,35 @@ def test_apply_jw_matches_direct(jw_cache):
 
 
 def test_apply_jw_forces_ladder_path(jw_cache):
-    # shrink the direct budget so the layered path runs, then compare.  Over
-    # F_5 the ladder's scalars j/layer are not all 5-integral, so apply_jw
-    # must still compose with the projector, which exists for k <= 4 (5 =
-    # 10_5) and not for k = 5.
-    import wenzl.jw as jwmod
-
+    # the layered path called directly over Q, then compared.  Over F_5 the
+    # ladder's scalars j/layer are not all 5-integral, so apply_jw must
+    # compose with the projector, which exists for k <= 4 (5 = 10_5) and not
+    # for k = 5.
     rng = random.Random(37)
-    old = jwmod.DIRECT_BUDGET
-    jwmod.DIRECT_BUDGET = 0
-    try:
-        for ring in (QQ, PrimeFieldRing(5)):
-            for _ in range(15):
-                k, pad = rng.choice([(3, 0), (4, 0), (4, 1), (5, 0)])
-                basis = enumerate_basis(k + pad, k + pad)
-                terms = {}
-                for mm in rng.sample(basis, min(6, len(basis))):
-                    if ring is QQ:
-                        c = QQ.fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
-                    else:
-                        c = rng.randint(1, ring.p - 1)
-                    terms[mm] = c
-                x = TLMorphism(k + pad, k + pad, ring, terms)
-                if ring is not QQ and k == 5:
-                    with pytest.raises(NonInvertible):
-                        apply_jw(k, x, jw_cache, pad=pad)
-                    continue
-                direct = compose(
-                    tensor_with_identity(jones_wenzl(k, ring, jw_cache), pad), x
-                )
+    for ring in (QQ, PrimeFieldRing(5)):
+        for _ in range(15):
+            k, pad = rng.choice([(3, 0), (4, 0), (4, 1), (5, 0)])
+            basis = enumerate_basis(k + pad, k + pad)
+            terms = {}
+            for mm in rng.sample(basis, min(6, len(basis))):
+                if ring is QQ:
+                    c = QQ.fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+                else:
+                    c = rng.randint(1, ring.p - 1)
+                terms[mm] = c
+            x = TLMorphism(k + pad, k + pad, ring, terms)
+            if ring is not QQ and k == 5:
+                with pytest.raises(NonInvertible):
+                    apply_jw(k, x, jw_cache, pad=pad)
+                continue
+            direct = compose(
+                tensor_with_identity(jones_wenzl(k, ring, jw_cache), pad), x
+            )
+            if ring is QQ:
+                top_killed_upto(x, k)  # the bound apply_jw hands the ladder
+                assert _ladder(k, x) == direct
+            else:
                 assert apply_jw(k, x, jw_cache, pad=pad) == direct
-    finally:
-        jwmod.DIRECT_BUDGET = old
 
 
 def test_apply_jw_identity_on_killed_input(jw_cache):

@@ -7,6 +7,10 @@ identity coefficient, closure value, and p-integrality, or the field's prime
 over F_p, for decomposition totals), so a corrupted or tampered file
 surfaces as CacheIntegrityError rather than as wrong math.  Trust, but
 verify.
+
+Each payload and each manifest is written to a temporary file in the cache
+directory and moved into place with ``os.replace``, so a write that fails or
+is killed part-way leaves the previous file whole.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -51,8 +56,16 @@ class DiskCache:
             ):
                 raise CacheIntegrityError("manifest is not a map of digest strings")
 
-    def _write_manifest(self) -> None:
-        self.manifest_path.write_text(json.dumps(self.manifest, indent=0, sort_keys=True))
+    def _stage(self, text: str) -> str:
+        """text in a new temporary file in the cache directory; its path."""
+        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+        return tmp
 
     @staticmethod
     def _digest(payload: str) -> str:
@@ -67,9 +80,18 @@ class DiskCache:
     ) -> Path:
         payload = morphism_to_json(value)
         name = self._filename(kind, value.ring.name, p, n)
-        (self.directory / name).write_text(payload)
-        self.manifest[name] = self._digest(payload)
-        self._write_manifest()
+        manifest = {**self.manifest, name: self._digest(payload)}
+        listing = json.dumps(manifest, indent=0, sort_keys=True)
+        # both files are staged before either replaces its old version
+        staged = self._stage(payload)
+        try:
+            staged_manifest = self._stage(listing)
+        except BaseException:
+            os.unlink(staged)
+            raise
+        os.replace(staged, self.directory / name)
+        os.replace(staged_manifest, self.manifest_path)
+        self.manifest = manifest
         return self.directory / name
 
     def load_morphism(

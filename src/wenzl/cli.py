@@ -4,11 +4,17 @@ Subcommands: jw, pjw, verify, hecke (pcanonical | lemma), render.
 
 Exit codes: 0 success, 1 usage error, 2 the requested value is undefined
 over the requested ring, 3 a verification or cache-integrity failure.
+
+Size bound: ``jw --n``, ``pjw --n`` and ``verify --max-n`` refuse any n whose
+Hom(n, n) has more than MAX_BASIS = catalan(12) = 208 012 diagrams, that is
+n >= 13, with exit 1 before anything is built.  JW_12 takes seconds and
+about 0.5 GB; each further strand multiplies both by about 3.6.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -37,11 +43,24 @@ from .serialize import (
     morphism_from_json,
     morphism_to_json,
 )
+from .tl import catalan
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNDEFINED = 2
 EXIT_VERIFY = 3
+
+MAX_BASIS = 208_012  # catalan(12): the largest Hom(n, n) a command builds in
+MAX_N = next(k for k in itertools.count() if catalan(k + 1) > MAX_BASIS)
+
+
+def _admit(n: int) -> None:
+    """Refuse an n beyond the size bound (see the module notes)."""
+    if n > MAX_N:  # catalan grows, so this is catalan(n) > MAX_BASIS
+        raise ValueError(
+            f"n = {n} is too large: Hom(n, n) would have more than "
+            f"{MAX_BASIS} diagrams (n <= {MAX_N})"
+        )
 
 
 def _parse_ring(spec: str):
@@ -67,6 +86,7 @@ def _disk_cache(args) -> DiskCache | None:
 
 
 def cmd_jw(args) -> int:
+    _admit(args.n)
     ring = _parse_ring(args.ring)
     p = ring.p if isinstance(ring, PrimeFieldRing) else 0
     disk = _disk_cache(args)
@@ -96,6 +116,7 @@ def cmd_jw(args) -> int:
 
 
 def cmd_pjw(args) -> int:
+    _admit(args.n)
     if not is_prime(args.p):
         print(f"p must be prime, got {args.p}", file=sys.stderr)
         return EXIT_USAGE
@@ -132,6 +153,7 @@ def cmd_pjw(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _admit(args.max_n)
     p = args.p
     if not is_prime(p):
         print(f"p must be prime, got {p}", file=sys.stderr)

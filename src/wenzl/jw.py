@@ -137,6 +137,7 @@ def jones_wenzl(n: int, ring=QQ, cache: Optional[JWCache] = None) -> TLMorphism:
             t = rewire_ints(t, j - 1, j)  # t o e_j
             _add_scaled(acc, j, t)
         value = TLMorphism(k, k, ring, ring.settle(acc, k * den))
+        del x, t, acc  # the insertion scans need none of the build's sums
         cache.insert(ring, k, value)
 
     if n <= 1:

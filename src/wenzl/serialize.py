@@ -27,7 +27,7 @@ from typing import Any
 
 from .hecke import HeckeElement
 from .rings import LaurentPoly, QQ, ring_by_name
-from .tl import TLMorphism, matching
+from .tl import MAX_ARITY, TLMorphism, matching
 
 
 def morphism_to_dict(f: TLMorphism) -> dict[str, Any]:
@@ -53,8 +53,8 @@ def morphism_from_dict(d: dict[str, Any]) -> TLMorphism:
     try:
         ring = ring_by_name(d["ring"])
         bottom, top = int(d["bottom"]), int(d["top"])
-        if bottom < 0 or top < 0:
-            raise ValueError(f"negative arity {bottom}->{top}")
+        if not (0 <= bottom <= MAX_ARITY and 0 <= top <= MAX_ARITY):
+            raise ValueError(f"arity {bottom}->{top} outside 0..{MAX_ARITY}")
         parse = ring.parse
         terms = {}
         for t in d["terms"]:

@@ -16,8 +16,14 @@ downstream sign depends on it.
 
 Matchings are interned: structurally equal diagrams are the same object, so
 equality and hashing are by identity and coefficient maps hash and compare
-fast.  All values are immutable; re-inserting an equal matching into the
-intern table is harmless, so the table tolerates concurrent use.
+fast.  The intern table is keyed by an int: a planar pairing is fixed by its
+openers (the labels paired to a higher label), so its Dyck word, one bit per
+label, together with ``bottom`` identifies it.  Every walk that builds a
+matching sets the word's bits as it pairs labels and builds the partner
+tuple only when the key is new; a generator rewiring changes at most four
+bits, so its result key costs O(1).  All values are immutable; re-inserting
+an equal matching into the intern table is harmless, so the table tolerates
+concurrent use.
 
 Composition runs through half-diagrams.  A matching x: n -> m with t through
 strands factors as x == hi(x) o lo(x), where lo(x): n -> t keeps the bottom
@@ -32,7 +38,8 @@ once.
 Checks that only ask whether something vanishes build no morphism: the
 generator-annihilation scans lift x to int numerators once and test the int
 sums of each rewiring, and a partial closure walks each diagram once with
-the closed points glued, instead of padding and composing.
+the closed points glued, instead of padding and composing.  The scans sum
+under the rewired int keys and look no matching up.
 """
 
 from __future__ import annotations
@@ -57,61 +64,82 @@ class CrossinglessMatching:
 
     ``partner`` maps each boundary label to its mate; ``pairs`` lists the
     pairs as (min, max) sorted by min, which is the canonical serialized
-    form.  ``uid`` is a serial number, unique per instance, that keys the
-    composition memo.  Use :func:`matching` (or the generator helpers below)
-    to obtain instances; the raw constructor skips validation.  Equal
-    matchings are one object, so equality and hashing are by identity.
+    form.  ``uid`` is the structural key: the Dyck word of the pairing
+    (bit x set iff ``partner[x] > x``) shifted above ``bottom``.  A planar
+    pairing is fixed by its set of openers and the word's popcount is half
+    the point count, so the key is injective on (bottom, top, pairing); it
+    keys the intern table and the composition memo.  Use :func:`matching`
+    (or the generator helpers below) to obtain instances; the raw
+    constructor skips validation.  Equal matchings are one object, so
+    equality and hashing are by identity.
     """
 
     __slots__ = ("bottom", "top", "partner", "pairs", "uid", "_halves", "__weakref__")
 
-    def __init__(self, bottom: int, top: int, partner: tuple[int, ...]):
+    def __init__(self, bottom: int, top: int, partner: tuple[int, ...], uid: int):
         self.bottom = bottom
         self.top = top
         self.partner = partner
         self.pairs = tuple(
             (a, partner[a]) for a in range(bottom + top) if partner[a] > a
         )
-        self.uid = next(_UIDS)
+        self.uid = uid
         self._halves = None
 
     def __repr__(self) -> str:
         return f"Matching({self.bottom}->{self.top}; {list(self.pairs)})"
 
     def is_identity(self) -> bool:
+        # every bottom point opens an arc: the fully nested word
         n = self.bottom
-        if n != self.top:
-            return False
-        return all(self.partner[i] == 2 * n - 1 - i for i in range(n))
+        return n == self.top and self.uid == ((1 << n) - 1) << _SHIFT | n
 
     def has_adjacent_top_arc(self) -> bool:
         """True iff two horizontally adjacent top points are paired.
 
         Non-identity endomorphism diagrams always have one; its presence is
-        the per-diagram certificate behind projector absorption.
+        the per-diagram certificate behind projector absorption.  A top
+        label that opens an arc pairs with a higher, hence top, label, and
+        the innermost arc under that one joins adjacent points; so this is
+        any opener bit among the top labels.
         """
-        n, m = self.bottom, self.top
-        for lab in range(n, n + m - 1):
-            if self.partner[lab] == lab + 1:
-                return True
-        return False
+        return self.uid >> (_SHIFT + self.bottom) != 0
 
     def through_strands(self) -> int:
         n = self.bottom
         return sum(1 for a, b in self.pairs if a < n <= b)
 
 
-_INTERN: dict[tuple[int, int, tuple[int, ...]], CrossinglessMatching] = {}
-_UIDS = itertools.count()
+# A key holds ``bottom`` in its low _SHIFT bits and the Dyck word above
+# them, so both arities are bounded by MAX_ARITY (a flip swaps them).
+_SHIFT = 8
+MAX_ARITY = (1 << _SHIFT) - 1
+_BIT = [1 << (x + _SHIFT) for x in range(2 * MAX_ARITY)]  # label x's key bit
+
+_INTERN: dict[int, CrossinglessMatching] = {}  # uid -> the matching
 
 
-def _intern(bottom: int, top: int, partner) -> CrossinglessMatching:
-    key = (bottom, top, tuple(partner))
-    m = _INTERN.get(key)
+def _check_arity(bottom: int, top: int) -> None:
+    if not (0 <= bottom <= MAX_ARITY and 0 <= top <= MAX_ARITY):
+        raise ValueError(f"arity {bottom}->{top} outside 0..{MAX_ARITY}")
+
+
+def _intern(uid: int, bottom: int, top: int, partner) -> CrossinglessMatching:
+    """The matching keyed uid; partner is read only when it is new."""
+    m = _INTERN.get(uid)
     if m is None:
-        m = CrossinglessMatching(bottom, top, key[2])
-        _INTERN[key] = m
+        m = _INTERN[uid] = CrossinglessMatching(bottom, top, tuple(partner), uid)
     return m
+
+
+def _from_partner(bottom: int, top: int, partner) -> CrossinglessMatching:
+    """The matching of a planar partner sequence (planarity is not checked)."""
+    _check_arity(bottom, top)
+    uid = bottom
+    for x, y in enumerate(partner):
+        if y > x:
+            uid |= _BIT[x]
+    return _intern(uid, bottom, top, partner)
 
 
 def _is_planar(partner: tuple[int, ...]) -> bool:
@@ -131,11 +159,14 @@ def matching(
     bottom: int, top: int, pairs: Iterable[tuple[int, int]]
 ) -> CrossinglessMatching:
     """Validated public constructor from a pair list."""
+    _check_arity(bottom, top)
     total = bottom + top
-    if (bottom + top) % 2:
+    if total % 2:
         raise ValueError("bottom + top must be even")
     partner = [-1] * total
     count = 0
+    bit = _BIT
+    uid = bottom
     for a, b in pairs:
         if a == b or not (0 <= a < total and 0 <= b < total):
             raise ValueError(f"bad pair ({a}, {b})")
@@ -143,16 +174,21 @@ def matching(
             raise ValueError(f"point used twice in pair ({a}, {b})")
         partner[a] = b
         partner[b] = a
+        uid |= bit[a if a < b else b]
         count += 1
     if count * 2 != total:  # each pair filled two empty points
         raise ValueError("pairs must form a perfect matching")
     partner_t = tuple(partner)
-    known = _INTERN.get((bottom, top, partner_t))
-    if known is not None:  # only planar matchings are ever interned
+    known = _INTERN.get(uid)
+    if known is not None:
+        # the word fixes only a planar pairing: a crossing one with the
+        # same openers (such as {(0,2),(1,3)} against {(0,3),(1,2)}) differs
+        if known.partner != partner_t:
+            raise ValueError("pairing is not planar")
         return known
     if not _is_planar(partner_t):
         raise ValueError("pairing is not planar")
-    return _intern(bottom, top, partner_t)
+    return _intern(uid, bottom, top, partner_t)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +198,7 @@ def matching(
 
 @lru_cache(maxsize=None)
 def identity_matching(n: int) -> CrossinglessMatching:
-    return _intern(n, n, tuple(2 * n - 1 - i for i in range(2 * n)))
+    return _from_partner(n, n, [2 * n - 1 - i for i in range(2 * n)])
 
 
 @lru_cache(maxsize=None)
@@ -174,21 +210,21 @@ def e_matching(i: int, n: int) -> CrossinglessMatching:
     partner[i - 1], partner[i] = i, i - 1
     a, b = 2 * n - 1 - i, 2 * n - i
     partner[a], partner[b] = b, a
-    return _intern(n, n, tuple(partner))
+    return _from_partner(n, n, partner)
 
 
 def cup_matching() -> CrossinglessMatching:
-    return _intern(0, 2, (1, 0))
+    return _from_partner(0, 2, (1, 0))
 
 
 def cap_matching() -> CrossinglessMatching:
-    return _intern(2, 0, (1, 0))
+    return _from_partner(2, 0, (1, 0))
 
 
 @lru_cache(maxsize=None)
 def nested_caps_matching(m: int) -> CrossinglessMatching:
     """2m -> 0, pairing point j with 2m-1-j (outermost arc first)."""
-    return _intern(2 * m, 0, tuple(2 * m - 1 - j for j in range(2 * m)))
+    return _from_partner(2 * m, 0, [2 * m - 1 - j for j in range(2 * m)])
 
 
 @lru_cache(maxsize=None)
@@ -220,10 +256,10 @@ def matching_compose(
     Results are memoized, because composition pairs recur heavily: in
     single-diagram scans, and in :func:`compose` as pairs of middle halves,
     the half products around them and the loop-free joins hi o lo.  The
-    memo holds no container of its own per entry: keys are pairs of serial
-    numbers (plain ints, which hash without a Python call) and values are
-    the interned result matchings, so millions of entries add nothing for
-    the cyclic garbage collector to track.
+    memo holds no container of its own per entry: keys are pairs of uids
+    (the structural int keys, which hash without a Python call) and values
+    are the interned result matchings, so millions of entries add nothing
+    for the cyclic garbage collector to track.
     """
     key = (g.uid, f.uid)
     hit = _COMPOSE_MEMO.get(key)
@@ -253,6 +289,8 @@ def _matching_compose_walk(
     total = nb + nt
     res = [-1] * total
     seen = [False] * mid
+    bit = _BIT
+    uid = nb  # the result's key, one opener bit per pair
 
     for start in range(total):
         if res[start] >= 0:
@@ -279,6 +317,7 @@ def _matching_compose_walk(
                 in_f = True
         res[start] = end
         res[end] = start
+        uid |= bit[start]
 
     loops = 0
     for u0 in range(nb, base):
@@ -294,41 +333,37 @@ def _matching_compose_walk(
             lab = base - 1 - gn
             if lab == u0:
                 break
-    return _intern(nb, nt, res), loops
+    return _intern(uid, nb, nt, res), loops
 
 
 def matching_tensor(
     a: CrossinglessMatching, b: CrossinglessMatching
 ) -> CrossinglessMatching:
-    """Horizontal juxtaposition, a on the left."""
+    """Horizontal juxtaposition, a on the left.
+
+    The key comes from the two keys alone: a's top labels move up by
+    d = n2 + m2 and b's labels by n1, so the pairing is built only when new.
+    """
     n1, m1 = a.bottom, a.top
     n2, m2 = b.bottom, b.top
-    total = n1 + n2 + m1 + m2
-    res = [-1] * total
-
-    def map_a(x: int) -> int:
-        return x if x < n1 else x + n2 + m2
-
-    for x, y in a.pairs:
-        u, v = map_a(x), map_a(y)
-        res[u] = v
-        res[v] = u
-    for x, y in b.pairs:
-        u, v = x + n1, y + n1
-        res[u] = v
-        res[v] = u
-    return _intern(n1 + n2, m1 + m2, res)
+    _check_arity(n1 + n2, m1 + m2)
+    d = n2 + m2
+    wa, wb = a.uid >> _SHIFT, b.uid >> _SHIFT
+    word = (wa & ((1 << n1) - 1)) | (wb << n1) | ((wa >> n1) << (n1 + d))
+    uid = (word << _SHIFT) | (n1 + n2)
+    hit = _INTERN.get(uid)
+    if hit is not None:
+        return hit
+    ra = [y if y < n1 else y + d for y in a.partner]
+    res = ra[:n1] + [y + n1 for y in b.partner] + ra[n1:]
+    return _intern(uid, n1 + n2, m1 + m2, res)
 
 
 def matching_flip(a: CrossinglessMatching) -> CrossinglessMatching:
     """Turn the diagram upside down (bottom and top swap)."""
     total = a.bottom + a.top
-    res = [-1] * total
-    for x, y in a.pairs:
-        u, v = total - 1 - x, total - 1 - y
-        res[u] = v
-        res[v] = u
-    return _intern(a.top, a.bottom, res)
+    res = [total - 1 - y for y in reversed(a.partner)]
+    return _from_partner(a.top, a.bottom, res)
 
 
 def halves(
@@ -338,7 +373,9 @@ def halves(
 
     ``lo``: bottom -> t keeps x's bottom arcs and carries each through strand
     straight up; ``hi``: t -> top keeps x's top arcs.  The composite closes no
-    loop.  Computed once per matching and kept on the instance.
+    loop.  Computed once per matching and kept on the instance.  lo's key is
+    x's bottom bits (lo's top points all close arcs) and hi's key opens at
+    every bottom point and copies x's top bits.
     """
     h = x._halves
     if h is None:
@@ -357,7 +394,12 @@ def halves(
         for s, a in enumerate(feet):
             lo[a], lo[n + t - 1 - s] = n + t - 1 - s, a
             hi[s], hi[p[a] - n + t] = p[a] - n + t, s
-        h = x._halves = (_intern(n, t, lo), _intern(t, m, hi))
+        lo_uid = x.uid & ((1 << (_SHIFT + n)) - 1)
+        hi_word = (x.uid >> (_SHIFT + n)) << t | ((1 << t) - 1)
+        h = x._halves = (
+            _intern(lo_uid, n, t, lo),
+            _intern(hi_word << _SHIFT | t, t, m, hi),
+        )
     return h
 
 
@@ -370,13 +412,16 @@ def enumerate_basis(n: int, m: int) -> tuple[CrossinglessMatching, ...]:
     """
     if (n + m) % 2:
         return ()
+    _check_arity(n, m)
     total = n + m
     out: list[CrossinglessMatching] = []
     partner = [-1] * total
+    bit = _BIT
 
-    def rec(points: tuple[int, ...]):
+    def rec(points: tuple[int, ...], uid: int):
+        # pairs up points, yielding the uid of each completion
         if not points:
-            yield None
+            yield uid
             return
         first = points[0]
         for idx in range(1, len(points), 2):
@@ -385,12 +430,11 @@ def enumerate_basis(n: int, m: int) -> tuple[CrossinglessMatching, ...]:
             partner[mate] = first
             inside = points[1:idx]
             outside = points[idx + 1 :]
-            for _ in rec(inside):
-                for _ in rec(outside):
-                    yield None
+            for inner in rec(inside, uid | bit[first]):
+                yield from rec(outside, inner)
 
-    for _ in rec(tuple(range(total))):
-        out.append(_intern(n, m, partner))
+    for uid in rec(tuple(range(total)), n):
+        out.append(_intern(uid, n, m, partner))
     out.sort(key=lambda mm: mm.pairs)
     return tuple(out)
 
@@ -671,12 +715,15 @@ def partial_close_right(f: TLMorphism, m: int) -> TLMorphism:
     glued_lo, glued_hi = n - m, n + m  # glued labels g pair with 2n-1-g
     mirror = 2 * n - 1
     shift = 2 * m  # a free top label drops by 2m in the result
+    bit = _BIT
+    find = _INTERN.get
     out: dict = {}
     get = out.get
     for mm, c in ints.items():
         pm = mm.partner
         seen = bytearray(total)
         res = [-1] * (total - shift)
+        uid = n - m
         for s in itertools.chain(range(glued_lo), range(glued_hi, total)):
             if seen[s]:
                 continue
@@ -691,6 +738,7 @@ def partial_close_right(f: TLMorphism, m: int) -> TLMorphism:
             b = y if y < glued_lo else y - shift
             res[a] = b
             res[b] = a
+            uid |= bit[a]  # s < y, and the relabelling keeps the order
         loops = 0
         for s in range(glued_lo, glued_hi):
             if seen[s]:
@@ -702,7 +750,7 @@ def partial_close_right(f: TLMorphism, m: int) -> TLMorphism:
                 z = pm[y]
                 seen[z] = 1
                 y = mirror - z
-        key = _intern(n - m, k - m, res)
+        key = find(uid) or _intern(uid, n - m, k - m, res)
         if loops:
             c = c * pw[loops]
         prev = get(key)
@@ -779,9 +827,18 @@ def rewire_ints(ints: dict, la: int, lb: int) -> dict:
     The strands that ended at la and lb are spliced into one, and la, lb
     become partners; when they already were, a loop closes (-2).  Sums are
     keyed by the interned result matching and left unnormalised.
+
+    When pairs (la, u), (lb, v) become (la, lb), (u, v), only those four
+    labels' opener bits can change: the lower label of each new pair opens
+    and the higher one closes.  So the result's key comes from the term's
+    key in O(1), and a partner list is spliced only for a matching that is
+    not interned yet.  :func:`first_unkilled` repeats the key update inline.
     """
     out: dict = {}
     get = out.get
+    find = _INTERN.get
+    bit = _BIT
+    ab, close_ab = bit[la] | bit[lb], bit[max(la, lb)]
     for m, c in ints.items():
         pm = m.partner
         u = pm[la]
@@ -790,12 +847,15 @@ def rewire_ints(ints: dict, la: int, lb: int) -> dict:
             c = c * -2
         else:
             v = pm[lb]
-            lst = list(pm)
-            lst[u] = v
-            lst[v] = u
-            lst[la] = lb
-            lst[lb] = la
-            key = _intern(m.bottom, m.top, lst)
+            uid = (m.uid | ab | bit[u] | bit[v]) ^ (close_ab | bit[u if u > v else v])
+            key = find(uid)
+            if key is None:
+                lst = list(pm)
+                lst[u] = v
+                lst[v] = u
+                lst[la] = lb
+                lst[lb] = la
+                key = _intern(uid, m.bottom, m.top, lst)
         prev = get(key)
         out[key] = c if prev is None else prev + c
     return out
@@ -811,19 +871,39 @@ def first_unkilled(x: TLMorphism, start: int, stop: int, top: bool = True) -> in
 
     Returns stop when every generator in the range kills x.  x is lifted to
     int numerators once for the whole scan, and each e_i is tested on the
-    int sums of the rewiring (``ring.clean`` empties exactly on zero), so
-    no morphism is built or settled.
+    int sums of the rewiring (``ring.clean`` empties exactly on zero).  The
+    sums are keyed by the rewired uid, an int computed in O(1) from the
+    term's uid, so no matching is looked up or built and no morphism is
+    settled.
     """
     start = max(start, 1)
     if start >= stop:
         return stop
     ring = x.ring
+    # three flat lists, not a list of tuples, and no lifted dict kept
+    # through the scan: less peak memory
     ints = ring.lift(x.terms)[0]
+    partners = [m.partner for m in ints]
+    uids = [m.uid for m in ints]
+    coeffs = list(ints.values())
+    del ints
     clean = ring.clean
+    bit = _BIT
     edge = x.bottom + x.top  # top position i-1 has label edge-i
     for i in range(start, stop):
         la, lb = (edge - i, edge - i - 1) if top else (i - 1, i)
-        if clean(rewire_ints(ints, la, lb)):
+        ab, close_ab = bit[la] | bit[lb], bit[max(la, lb)]
+        sums: dict = {}
+        get = sums.get
+        for pm, uid, c in zip(partners, uids, coeffs):
+            u = pm[la]
+            if u == lb:
+                c = c * -2
+            else:
+                v = pm[lb]
+                uid = (uid | ab | bit[u] | bit[v]) ^ (close_ab | bit[u if u > v else v])
+            sums[uid] = get(uid, 0) + c
+        if clean(sums):
             return i
     return stop
 

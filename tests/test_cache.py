@@ -1,7 +1,10 @@
-"""Disk cache: verified loads over Q and over F_p."""
+"""Disk cache: verified loads over Q and over F_p; atomic writes."""
+
+import os
 
 import pytest
 
+from wenzl import cache as cache_module
 from wenzl.cache import CacheIntegrityError, DiskCache
 from wenzl.pjw import rational_pjw, reduce_pjw
 
@@ -46,3 +49,43 @@ def test_malformed_manifest_refused(tmp_path, text):
     (tmp_path / "manifest.json").write_bytes(text.encode("latin-1"))
     with pytest.raises(CacheIntegrityError, match="manifest"):
         DiskCache(tmp_path)
+
+
+class _TornFile:
+    """A file whose write stores half its text and then fails (a full disk)."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("torn", [1, 2], ids=["payload", "manifest"])
+def test_failed_write_keeps_previous_entry(tmp_path, reduced, monkeypatch, torn):
+    cache = DiskCache(tmp_path)
+    cache.store_morphism("pjw", 3, 7, reduced)
+    before = sorted(path.name for path in tmp_path.iterdir())
+    real_fdopen = os.fdopen
+    opened = []
+
+    def fdopen(fd, *args, **kwargs):
+        fh = real_fdopen(fd, *args, **kwargs)
+        opened.append(fh)
+        return _TornFile(fh) if len(opened) == torn else fh
+
+    monkeypatch.setattr(cache_module.os, "fdopen", fdopen)
+    with pytest.raises(OSError, match="No space"):
+        cache.store_morphism("pjw", 3, 7, reduced.scale(reduced.ring.from_int(2)))
+    monkeypatch.undo()
+    assert len(opened) == torn
+    assert sorted(path.name for path in tmp_path.iterdir()) == before
+    assert cache.load_morphism("pjw", "Fp:3", 3, 7) == reduced
+    assert DiskCache(tmp_path).load_morphism("pjw", "Fp:3", 3, 7) == reduced

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from wenzl import cli
 from wenzl.cli import main
 from wenzl.jw import JWVerificationError
 from wenzl.pjw import PJWIntegrityError
+from wenzl.tl import catalan
 
 
 def run(capsys, *argv):
@@ -244,3 +246,28 @@ def test_internal_verification_failure_exit_3(monkeypatch, capsys, target, error
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert "injected failure" in err
+
+
+def test_size_bound_admits_n_up_to_12():
+    assert cli.MAX_N == 12
+    assert catalan(12) <= cli.MAX_BASIS < catalan(13)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["jw", "--n", "40"], ["pjw", "--p", "2", "--n", "40"],
+     ["verify", "--p", "2", "--max-n", "40"], ["jw", "--n", "13"]],
+    ids=["jw", "pjw", "verify", "jw_13"],
+)
+def test_oversized_n_refused_quickly(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(wenzl.__file__).parents[1]))
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "wenzl.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert time.monotonic() - started < 20
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and "too large" in proc.stderr
+    assert proc.stdout == ""

@@ -115,12 +115,14 @@ _ID2 = [[0, 3], [1, 2]]
         {"bottom": 2, "top": 2, "ring": "Q", "terms": {"pairs": _ID2}},
         {"bottom": -2, "top": 2, "ring": "Q", "terms": [{"pairs": [], "coeff": "1"}]},
         {"bottom": 10**12, "top": 2, "ring": "Q", "terms": [{"pairs": _ID2, "coeff": "1"}]},
+        {"bottom": 256, "top": 2, "ring": "Q", "terms": []},
         [{"pairs": _ID2, "coeff": "1"}],
         "morphism",
     ],
     ids=["zero_denominator", "missing_coeff", "missing_pairs", "missing_ring",
          "ring_not_a_name", "pairs_not_a_list", "terms_not_a_list", "negative_arity",
-         "pairs_short_of_arity", "top_level_array", "top_level_string"],
+         "pairs_short_of_arity", "arity_over_key_bound", "top_level_array",
+         "top_level_string"],
 )
 def test_morphism_from_dict_refuses_malformed(doc):
     with pytest.raises(ValueError):

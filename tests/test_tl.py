@@ -7,9 +7,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wenzl import tl
 from wenzl.jw import jones_wenzl
 from wenzl.rings import NonInvertible, PrimeFieldRing, QQ
 from wenzl.tl import (
+    MAX_ARITY,
     CrossinglessMatching,
     TLMorphism,
     apply_e_bottom,
@@ -34,6 +36,7 @@ from wenzl.tl import (
     matching_tensor,
     nested_caps_matching,
     partial_close_right,
+    rewire_ints,
     right_collapse_matching,
     tensor_with_identity,
     top_killed_upto,
@@ -103,6 +106,99 @@ def test_matching_validation():
 def test_equal_matchings_are_one_object():
     # equality and hashing are by identity, which interning makes exact
     assert matching(2, 2, [(0, 3), (1, 2)]) is matching(2, 2, [(1, 2), (0, 3)])
+    # either end of a pair may come first
+    assert matching(2, 2, [(3, 0), (2, 1)]) is identity_matching(2)
+    assert matching(3, 1, [(3, 0), (2, 1)]) is matching(3, 1, [(0, 3), (1, 2)])
+
+
+# ---------------------------------------------------------------------------
+# Structural keys: the Dyck word above the bottom arity
+# ---------------------------------------------------------------------------
+
+
+def word_key(bottom, partner):
+    """The documented uid layout, recomputed from a partner sequence."""
+    word = sum(1 << x for x, y in enumerate(partner) if y > x)
+    return word << tl._SHIFT | bottom
+
+
+def small_hom_spaces(limit=10):
+    for n in range(limit + 1):
+        for m in range(n % 2, limit + 1 - n, 2):
+            yield n, m
+
+
+def test_keys_are_injective_on_small_hom_spaces():
+    # from the enumeration oracle, independent of interning: distinct planar
+    # pairings of distinct (bottom, top) never share a key
+    keys = set()
+    count = 0
+    for n, m in small_hom_spaces():
+        for pairs in all_perfect_matchings(list(range(n + m))):
+            if crossing_free(pairs):
+                partner = [0] * (n + m)
+                for a, b in pairs:
+                    partner[a], partner[b] = b, a
+                keys.add(word_key(n, partner))
+                count += 1
+    assert len(keys) == count
+    for n, m in small_hom_spaces():
+        basis = enumerate_basis(n, m)
+        assert len({mm.uid for mm in basis}) == len(basis) == catalan((n + m) // 2)
+
+
+def test_intern_table_keys_recompute_from_partners():
+    # build matchings through every kind of walk, then audit the whole table
+    jw = jones_wenzl(5)
+    y = matching(4, 6, [(0, 1), (2, 9), (3, 8), (4, 5), (6, 7)])
+    x = compose(tensor_with_identity(jw, 1), as_morphism(y))
+    for mm in list(x.terms) + list(jw.flip().terms):
+        halves(mm)
+    partial_close_right(x, 2)
+    apply_e_bottom(2, x)
+    apply_e_top(3, x)
+    matching_tensor(e_matching(1, 3), matching_flip(e_matching(2, 4)))
+    assert len(tl._INTERN) > 100
+    for uid, mm in tl._INTERN.items():
+        assert uid == mm.uid == word_key(mm.bottom, mm.partner)
+
+
+def test_crossing_twin_of_interned_matching_refused():
+    # a crossing pairing has the openers of some planar one; the key finds
+    # the planar twin and the partner comparison must refuse the crossing one
+    assert matching(2, 2, [(0, 3), (1, 2)]) is identity_matching(2)
+    with pytest.raises(ValueError, match="planar"):
+        matching(2, 2, [(0, 2), (1, 3)])
+    for n, m in [(3, 3), (2, 4), (6, 0), (4, 4)]:
+        enumerate_basis(n, m)  # every planar twin is interned
+        for pairs in all_perfect_matchings(list(range(n + m))):
+            if not crossing_free(pairs):
+                with pytest.raises(ValueError, match="planar"):
+                    matching(n, m, pairs)
+
+
+def test_arity_bound_refused():
+    big = MAX_ARITY + 1
+    caps = [(2 * j, 2 * j + 1) for j in range(big // 2)]
+    for bottom, top in ((big, 0), (0, big), (-2, 2)):
+        with pytest.raises(ValueError, match="arity"):
+            matching(bottom, top, caps)
+    with pytest.raises(ValueError, match="arity"):
+        identity_matching(big)
+    with pytest.raises(ValueError, match="arity"):
+        matching_tensor(identity_matching(MAX_ARITY), identity_matching(1))
+    widest = identity_matching(MAX_ARITY)
+    assert matching_flip(widest) is widest and widest.is_identity()
+
+
+def test_key_predicates_match_partner_definitions():
+    for n, m in small_hom_spaces():
+        for mm in enumerate_basis(n, m):
+            p = mm.partner
+            identity = n == m and all(p[i] == 2 * n - 1 - i for i in range(n))
+            adjacent = any(p[lab] == lab + 1 for lab in range(n, n + m - 1))
+            assert mm.is_identity() == identity
+            assert mm.has_adjacent_top_arc() == adjacent
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +403,35 @@ def _first_unkilled_oracle(x, start, stop, top):
     return stop
 
 
+def _rewire_oracle(ints, la, lb):
+    """rewire_ints by splicing every partner list and interning the result
+    through the validated constructor (no key arithmetic)."""
+    out = {}
+    for mm, c in ints.items():
+        lst = list(mm.partner)
+        u, v = lst[la], lst[lb]
+        if u == lb:
+            key, c = mm, c * -2
+        else:
+            lst[u], lst[v], lst[la], lst[lb] = v, u, lb, la
+            pairs = [(a, b) for a, b in enumerate(lst) if b > a]
+            key = matching(mm.bottom, mm.top, pairs)
+        out[key] = out.get(key, 0) + c
+    return out
+
+
+def _scan_oracle(x, start, stop, top):
+    """The per-generator scan on the spliced rewirings."""
+    ring = x.ring
+    ints = ring.lift(x.terms)[0]
+    edge = x.bottom + x.top
+    for i in range(max(start, 1), stop):
+        la, lb = (edge - i, edge - i - 1) if top else (i - 1, i)
+        if ring.clean(_rewire_oracle(ints, la, lb)):
+            return i
+    return stop
+
+
 def _killed_upto_oracle(x, k, top):
     """The per-generator scan with its memo bound, on a shadow copy's slot."""
     slot = "_top_kill" if top else "_bot_kill"
@@ -366,6 +491,22 @@ def test_scan_matches_generator_application(x, data):
         assert (scanned._top_kill, scanned._bot_kill) == (
             shadow._top_kill, shadow._bot_kill
         )
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_inputs(), st.data())
+def test_rewire_and_scan_match_splice_oracle(x, data):
+    ring = x.ring
+    ints = ring.lift(x.terms)[0]
+    edge = x.bottom + x.top
+    for top in (True, False):
+        n = x.top if top else x.bottom
+        for i in range(1, n):
+            la, lb = (edge - i, edge - i - 1) if top else (i - 1, i)
+            assert rewire_ints(ints, la, lb) == _rewire_oracle(ints, la, lb)
+        start = data.draw(st.integers(0, n + 1))
+        stop = data.draw(st.integers(0, n))
+        assert first_unkilled(x, start, stop, top) == _scan_oracle(x, start, stop, top)
 
 
 def test_scan_bound_after_failure():

@@ -9,6 +9,12 @@ Size bound: ``jw --n``, ``pjw --n`` and ``verify --max-n`` refuse any n whose
 Hom(n, n) has more than MAX_BASIS = catalan(12) = 208 012 diagrams, that is
 n >= 13, with exit 1 before anything is built.  JW_12 takes seconds and
 about 0.5 GB; each further strand multiplies both by about 3.6.
+
+Hecke bound: ``hecke --n`` and ``--to`` refuse any n above MAX_HECKE_N = 2047
+the same way.  ``lemma`` multiplies up through the gap to the father one
+generator at a time, so its time grows with the square of the gap, which
+reaches a third of n.  On a 2-core VM one n below the bound takes under a
+second (p = 2, n = 1535, gap 512: 0.6 s); n = 6143 (gap 2048) takes 10 s.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ EXIT_VERIFY = 3
 
 MAX_BASIS = 208_012  # catalan(12): the largest Hom(n, n) a command builds in
 MAX_N = next(k for k in itertools.count() if catalan(k + 1) > MAX_BASIS)
+MAX_HECKE_N = 2047  # the largest hecke --n or --to (see the module notes)
 
 
 def _admit(n: int) -> None:
@@ -258,9 +265,13 @@ def cmd_hecke(args) -> int:
     if not is_prime(args.p):
         print(f"p must be prime, got {args.p}", file=sys.stderr)
         return EXIT_USAGE
-    ns = range(args.n, (args.to if args.to else args.n) + 1)
+    last = args.to or args.n
+    if max(args.n, last) > MAX_HECKE_N:
+        raise ValueError(
+            f"n = {max(args.n, last)} is too large for hecke (n <= {MAX_HECKE_N})"
+        )
     failures = 0
-    for n in ns:
+    for n in range(args.n, last + 1):
         if args.action == "pcanonical":
             x = p_canonical(n, args.p)
             if args.format == "json":

@@ -185,10 +185,7 @@ def p_canonical(n_plus_1: int, p: int) -> HeckeElement:
     n = n_plus_1 - 1
     if n < 1:
         raise ValueError("need n_plus_1 >= 2")
-    out = HeckeElement.zero()
-    for i in p_support(n, p).supp:
-        out = out.add(HeckeElement.basis(i))
-    return out
+    return HeckeElement({i: LaurentPoly.one() for i in p_support(n, p).supp})
 
 
 @dataclass

@@ -14,9 +14,9 @@ scalar, ``clean`` for an accumulated coefficient map), plus conversion,
 parsing and printing.  The hot kernels work on plain ints throughout:
 ``lift`` writes a coefficient map as int numerators over one common
 denominator (the identity on F_p), the kernel accumulates ints, and
-``settle`` (a map) or ``divide`` (a scalar) turns the result back into ring
-elements.  Over F_p the adapter works on plain int residues; the FpElement
-class is the convenient value type for user-facing arithmetic.
+``settle`` turns the resulting map back into ring elements.  Over F_p the
+adapter works on plain int residues; the FpElement class is the convenient
+value type for user-facing arithmetic.
 
 No floating point anywhere.
 """
@@ -267,11 +267,6 @@ class RationalRing:
         return {k: Fraction(v, den) for k, v in acc.items() if v}
 
     @staticmethod
-    def divide(num: int, den: int) -> Fraction:
-        """One accumulated int numerator over den, as a ring element."""
-        return Fraction(num, den)
-
-    @staticmethod
     def format(a) -> str:
         if a.denominator == 1:
             return str(a.numerator)
@@ -336,10 +331,6 @@ class PrimeFieldRing:
     def settle(self, acc: dict, den: int) -> dict:
         """An accumulated map of unreduced ints (den is 1), as ``clean``."""
         return self.clean(acc)
-
-    def divide(self, num: int, den: int) -> int:
-        """One accumulated unreduced int (den is 1), reduced mod p."""
-        return num % self.p
 
     def format(self, a: int) -> str:
         return str(a % self.p)

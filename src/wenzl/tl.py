@@ -35,11 +35,18 @@ loop-free join hi' o lo' through s strands determines its halves, so the
 products are summed per cell (lo', hi') and each output matching is joined
 once.
 
+So :func:`compose` is the one product kernel: a product with a single
+diagram (:func:`apply_matching_left`, :func:`apply_matching_right`) is a
+compose with a one-term morphism.  Likewise :func:`partial_close_right` is the
+one closure walk: it walks each diagram once with the closed points glued,
+instead of padding and composing, and the Markov trace is its closure of all
+strands.  Only generators have their own kernel: e_i rewires two labels in
+place and needs no boundary walk.
+
 Checks that only ask whether something vanishes build no morphism: the
 generator-annihilation scans lift x to int numerators once and test the int
-sums of each rewiring, and a partial closure walks each diagram once with
-the closed points glued, instead of padding and composing.  The scans sum
-under the rewired int keys and look no matching up.
+sums of each rewiring.  The scans sum under the rewired int keys and look no
+matching up.
 """
 
 from __future__ import annotations
@@ -196,12 +203,10 @@ def matching(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def identity_matching(n: int) -> CrossinglessMatching:
     return _from_partner(n, n, [2 * n - 1 - i for i in range(2 * n)])
 
 
-@lru_cache(maxsize=None)
 def e_matching(i: int, n: int) -> CrossinglessMatching:
     """The cup-cap generator joining strands i, i+1 (1-indexed, i < n)."""
     if not 1 <= i <= n - 1:
@@ -221,13 +226,11 @@ def cap_matching() -> CrossinglessMatching:
     return _from_partner(2, 0, (1, 0))
 
 
-@lru_cache(maxsize=None)
 def nested_caps_matching(m: int) -> CrossinglessMatching:
     """2m -> 0, pairing point j with 2m-1-j (outermost arc first)."""
     return _from_partner(2 * m, 0, [2 * m - 1 - j for j in range(2 * m)])
 
 
-@lru_cache(maxsize=None)
 def right_collapse_matching(width: int, m: int) -> CrossinglessMatching:
     """width+m -> width-m: identity on the left, nested caps on the last 2m.
 
@@ -639,43 +642,15 @@ def compose(g: TLMorphism, f: TLMorphism) -> TLMorphism:
 def apply_matching_left(
     d: CrossinglessMatching, x: TLMorphism, scalar=None
 ) -> TLMorphism:
-    """scalar * (d o x) for a single matching d; the batched hot path."""
-    if x.top != d.bottom:
-        raise ValueError("arity mismatch")
-    ring = x.ring
-    ints, den = ring.lift(x.terms, scalar)
-    pw = _loop_powers((x.top + min(x.bottom, d.top)) // 2 + 1)
-    out: dict = {}
-    get = out.get
-    mc = matching_compose
-    for mf, c in ints.items():
-        key, r = mc(d, mf)
-        if r:
-            c = c * pw[r]
-        prev = get(key)
-        out[key] = c if prev is None else prev + c
-    return TLMorphism(x.bottom, d.top, ring, ring.settle(out, den))
+    """scalar * (d o x) for a single matching d, through :func:`compose`."""
+    return compose(TLMorphism.from_matching(d, x.ring, scalar), x)
 
 
 def apply_matching_right(
     d: CrossinglessMatching, x: TLMorphism, scalar=None
 ) -> TLMorphism:
-    """scalar * (x o d) for a single matching d."""
-    if d.top != x.bottom:
-        raise ValueError("arity mismatch")
-    ring = x.ring
-    ints, den = ring.lift(x.terms, scalar)
-    pw = _loop_powers((x.bottom + min(d.bottom, x.top)) // 2 + 1)
-    out: dict = {}
-    get = out.get
-    mc = matching_compose
-    for mf, c in ints.items():
-        key, r = mc(mf, d)
-        if r:
-            c = c * pw[r]
-        prev = get(key)
-        out[key] = c if prev is None else prev + c
-    return TLMorphism(d.bottom, x.top, ring, ring.settle(out, den))
+    """scalar * (x o d) for a single matching d, through :func:`compose`."""
+    return compose(x, TLMorphism.from_matching(d, x.ring, scalar))
 
 
 def tensor_with_identity(x: TLMorphism, m: int) -> TLMorphism:
@@ -696,12 +671,12 @@ def partial_close_right(f: TLMorphism, m: int) -> TLMorphism:
     The top-right m points are bent over to the bottom-right m points with
     nested arcs, so an n->k morphism becomes (n-m)->(k-m).  Closing a through
     strand of the identity creates a closed loop and hence a factor -2; the
-    m = bottom = top case is the full Markov closure.
+    m = bottom = top case is the full Markov closure, which
+    :func:`markov_trace` reads off the empty diagram.
 
     Each diagram is walked once with its top label n+t glued to its bottom
     label n-1-t for t < m: the walk joins the free ends and counts the closed
-    loops (as :func:`markov_trace` does), the int sums are settled once, and
-    nothing is padded or composed.
+    loops, the int sums are settled once, and nothing is padded or composed.
     """
     if m == 0:
         return f
@@ -761,34 +736,13 @@ def partial_close_right(f: TLMorphism, m: int) -> TLMorphism:
 def markov_trace(f: TLMorphism):
     """Full closure of an endomorphism, as a scalar on the empty diagram.
 
-    Computed per diagram by counting the circles formed when each top point
-    is bent around to the bottom point directly below it; a diagram with c
-    circles contributes (-2)**c times its coefficient.
+    This is :func:`partial_close_right` of all n strands: each top point is
+    bent around to the bottom point directly below it, and a diagram whose
+    closure has c circles contributes (-2)**c times its coefficient.
     """
     if f.bottom != f.top:
         raise ValueError("markov trace needs an endomorphism")
-    n = f.bottom
-    ring = f.ring
-    ints, den = ring.lift(f.terms)
-    pw = _loop_powers(n + 1)
-    total = 2 * n
-    acc = 0
-    for m, c in ints.items():
-        pm = m.partner
-        seen = bytearray(total)
-        cycles = 0
-        for s in range(total):
-            if seen[s]:
-                continue
-            cycles += 1
-            x = s
-            while not seen[x]:
-                seen[x] = 1
-                y = pm[x]
-                seen[y] = 1
-                x = total - 1 - y
-        acc += c * pw[cycles]
-    return ring.divide(acc, den)
+    return partial_close_right(f, f.bottom).identity_coefficient()
 
 
 def apply_e_top(i: int, x: TLMorphism, scalar=None) -> TLMorphism:

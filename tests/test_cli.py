@@ -271,3 +271,33 @@ def test_oversized_n_refused_quickly(argv):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and "too large" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_hecke_bound_admits_max_hecke_n(capsys):
+    n = str(cli.MAX_HECKE_N)
+    code, out, _ = run(capsys, "hecke", "lemma", "--p", "3", "--n", n)
+    assert code == 0 and out.startswith(f"n={n}: ") and "PASS" in out
+    code, out, _ = run(capsys, "hecke", "pcanonical", "--p", "2", "--n", n)
+    assert code == 0 and out.startswith(f"pb[{n}] = ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["hecke", "lemma", "--p", "2", "--n", "824633720831"],
+     ["hecke", "pcanonical", "--p", "2", "--n", "5", "--to", "2048"]],
+    ids=["lemma_n", "pcanonical_to"],
+)
+def test_oversized_hecke_n_refused_quickly(argv):
+    # n = 2**39 + 2**38 - 1 has gap 2**38 to its father: unbounded, the
+    # lemma would multiply that many times
+    env = dict(os.environ, PYTHONPATH=str(Path(wenzl.__file__).parents[1]))
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "wenzl.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert time.monotonic() - started < 20
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and "too large" in proc.stderr
+    assert proc.stdout == ""

@@ -377,6 +377,32 @@ def test_compose_matches_pairwise_oracle(data):
     assert compose(g, f) == _pairwise_compose(g, f)
 
 
+def _scalars(ring):
+    if ring is QQ:
+        return st.builds(QQ.fraction, st.integers(-3, 3), st.integers(1, 4))
+    return st.builds(ring.from_int, st.integers(-3, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_single_diagram_products_match_pairwise_oracle(data):
+    # d o x and x o d for one matching d, each scaled after the fact
+    ring = data.draw(st.sampled_from(RINGS))
+    parity = data.draw(st.integers(0, 1))
+    arity = st.sampled_from([a for a in range(7) if a % 2 == parity])
+    n, k, m = data.draw(arity), data.draw(arity), data.draw(arity)
+    x = data.draw(morphisms(n, k, ring))
+    left = data.draw(st.sampled_from(enumerate_basis(k, m)))
+    right = data.draw(st.sampled_from(enumerate_basis(m, n)))
+    scalar = data.draw(st.none() | _scalars(ring))
+    want_left = _pairwise_compose(TLMorphism.from_matching(left, ring), x)
+    want_right = _pairwise_compose(x, TLMorphism.from_matching(right, ring))
+    if scalar is not None:
+        want_left, want_right = want_left.scale(scalar), want_right.scale(scalar)
+    assert apply_matching_left(left, x, scalar) == want_left
+    assert apply_matching_right(right, x, scalar) == want_right
+
+
 def test_compose_cancellation_and_zero():
     jw2 = TLMorphism(2, 2, QQ, {identity_matching(2): QQ.one,
                                 e_matching(1, 2): QQ.fraction(1, 2)})
@@ -605,14 +631,39 @@ def test_close_e1_gives_identity():
     assert partial_close_right(e1, 1) == TLMorphism.identity(1)
 
 
-def test_markov_trace_matches_full_closure():
-    rng = random.Random(3)
-    for n in [1, 2, 3, 4]:
-        for _ in range(10):
-            f = random_morphism(rng, n, n)
-            closed = partial_close_right(f, n)
-            expected = closed.terms.get(identity_matching(0), QQ.zero)
-            assert markov_trace(f) == expected
+def _markov_trace_oracle(f):
+    """Count the circles of each diagram's closure: top point bent around to
+    the bottom point directly below it, label y glued to 2n-1-y."""
+    ring = f.ring
+    total = 2 * f.bottom
+    acc = ring.zero
+    for mm, c in f.terms.items():
+        seen = [False] * total
+        circles = 0
+        for s in range(total):
+            if seen[s]:
+                continue
+            circles += 1
+            x = s
+            while not seen[x]:
+                seen[x] = True
+                y = mm.partner[x]
+                seen[y] = True
+                x = total - 1 - y
+        acc = acc + c * (-2) ** circles
+    return ring.clean({0: acc}).get(0, ring.zero)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_markov_trace_matches_full_closure(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    n = data.draw(st.integers(0, 6))
+    f = data.draw(morphisms(n, n, ring))
+    assert markov_trace(f) == _markov_trace_oracle(f)
+    assert markov_trace(TLMorphism.identity(n, ring)) == ring.from_int((-2) ** n)
+    with pytest.raises(ValueError):
+        markov_trace(TLMorphism.zero(n, n + 2, ring))
 
 
 def test_markov_trace_cyclic():
@@ -639,6 +690,8 @@ def test_collapse_conjugation_is_partial_closure():
                 padded = tensor_with_identity(f, m)
                 conj = apply_matching_left(post, apply_matching_right(pre, padded))
                 assert partial_close_right(f, m) == conj
+                if n == k == m:  # the full closure, by pad and compose
+                    assert markov_trace(f) == conj.identity_coefficient()
     with pytest.raises(ValueError):
         partial_close_right(TLMorphism.identity(2), 3)
     with pytest.raises(ValueError):

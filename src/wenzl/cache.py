@@ -10,15 +10,22 @@ verify.
 
 Each payload and each manifest is written to a temporary file in the cache
 directory and moved into place with ``os.replace``, so a write that fails or
-is killed part-way leaves the previous file whole.
+is killed part-way leaves the previous file whole.  Writers on one directory
+take an exclusive ``flock`` on ``manifest.lock`` there, re-read the manifest
+on disk and add their digest to it, so concurrent writers keep each other's
+entries; a reader whose copy of the manifest lacks an entry, or holds an
+older digest for it, reads both files again under that lock before it
+refuses the entry.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -45,16 +52,32 @@ class DiskCache:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.directory / "manifest.json"
-        self.manifest = {}
-        if self.manifest_path.exists():
-            try:
-                self.manifest = json.loads(self.manifest_path.read_bytes())
-            except ValueError as exc:  # not UTF-8 or not JSON
-                raise CacheIntegrityError(f"unreadable manifest: {exc}") from exc
-            if not isinstance(self.manifest, dict) or not all(
-                type(v) is str for v in self.manifest.values()
-            ):
-                raise CacheIntegrityError("manifest is not a map of digest strings")
+        self.lock_path = self.directory / "manifest.lock"
+        self.manifest = self._read_manifest()
+
+    def _read_manifest(self) -> dict:
+        """The manifest on disk (empty when absent); CacheIntegrityError if bad."""
+        if not self.manifest_path.exists():
+            return {}
+        try:
+            manifest = json.loads(self.manifest_path.read_bytes())
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise CacheIntegrityError(f"unreadable manifest: {exc}") from exc
+        if not isinstance(manifest, dict) or not all(
+            type(v) is str for v in manifest.values()
+        ):
+            raise CacheIntegrityError("manifest is not a map of digest strings")
+        return manifest
+
+    @contextmanager
+    def _locked(self):
+        """Hold the writers' exclusive lock on this directory."""
+        fd = os.open(self.lock_path, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(fd)  # releases the lock
 
     def _stage(self, text: str) -> str:
         """text in a new temporary file in the cache directory; its path."""
@@ -80,17 +103,21 @@ class DiskCache:
     ) -> Path:
         payload = morphism_to_json(value)
         name = self._filename(kind, value.ring.name, p, n)
-        manifest = {**self.manifest, name: self._digest(payload)}
-        listing = json.dumps(manifest, indent=0, sort_keys=True)
-        # both files are staged before either replaces its old version
         staged = self._stage(payload)
         try:
-            staged_manifest = self._stage(listing)
+            # another writer may have added entries since this object read
+            # the manifest: merge into the one on disk, under the lock
+            with self._locked():
+                manifest = {**self._read_manifest(), name: self._digest(payload)}
+                listing = json.dumps(manifest, indent=0, sort_keys=True)
+                # both files are staged before either replaces its old version
+                staged_manifest = self._stage(listing)
+                os.replace(staged, self.directory / name)
+                os.replace(staged_manifest, self.manifest_path)
         except BaseException:
-            os.unlink(staged)
+            if os.path.exists(staged):
+                os.unlink(staged)
             raise
-        os.replace(staged, self.directory / name)
-        os.replace(staged_manifest, self.manifest_path)
         self.manifest = manifest
         return self.directory / name
 
@@ -105,7 +132,14 @@ class DiskCache:
         payload = path.read_text()
         want = self.manifest.get(name)
         if want is None or self._digest(payload) != want:
-            raise CacheIntegrityError(f"checksum mismatch for {name}")
+            # another writer may have stored this entry since the manifest
+            # was read: read both again, between writes, before refusing
+            with self._locked():
+                payload = path.read_text()
+                self.manifest = self._read_manifest()
+            want = self.manifest.get(name)
+            if want is None or self._digest(payload) != want:
+                raise CacheIntegrityError(f"checksum mismatch for {name}")
         try:
             value = morphism_from_json(payload)
         except ValueError as exc:  # malformed under a matching checksum

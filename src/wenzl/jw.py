@@ -40,11 +40,9 @@ from typing import Optional
 from .rings import NonInvertible, NotPIntegral, PrimeFieldRing, QQ
 from .tl import (
     TLMorphism,
-    apply_matching_left,
     bottom_killed_upto,
     catalan,
     compose,
-    e_matching,
     enumerate_basis,
     matching_flip,
     partial_close_right,
@@ -251,18 +249,6 @@ def close_jw(
             f"closure of JW_{n} by {m} strands is not {lam} * JW_{n - m}"
         )
     return closed, lam
-
-
-def two_sided_recursion_step(k: int, cache: Optional[JWCache] = None) -> TLMorphism:
-    """JW_k (x) id + k/(k+1) (JW_k (x) id) o e_k o (JW_k (x) id), literally.
-
-    The textbook recursion, kept as an executable identity: the result must
-    equal JW_{k+1}.  Quadratic in the term count, so only used at small k.
-    """
-    cache = cache if cache is not None else GLOBAL_JW_CACHE
-    grown = tensor_with_identity(jones_wenzl(k, QQ, cache), 1)
-    middle = compose(grown, apply_matching_left(e_matching(k, k + 1), grown))
-    return grown.add(middle.scale(Fraction(k, k + 1)))
 
 
 def sandwich_test(

@@ -120,7 +120,7 @@ def ascii_morphism(f: TLMorphism, max_terms: int = 24) -> str:
         return f"0  ({f.bottom}->{f.top} over {f.ring.name})"
     blocks = [f"{f.bottom}->{f.top} over {f.ring.name}, {len(f.terms)} term(s):"]
     shown = 0
-    for m in sorted(f.terms, key=lambda mm: mm.pairs):
+    for m in sorted(f.terms, key=lambda mm: mm.partner):
         if shown >= max_terms:
             blocks.append(f"... ({len(f.terms) - shown} more terms)")
             break
@@ -162,7 +162,7 @@ def tikz_matching(m: CrossinglessMatching, height: float = 1.5) -> str:
 def tikz_morphism(f: TLMorphism, max_terms: int = 12) -> str:
     parts = [f"% {f.bottom}->{f.top} over {f.ring.name}, {len(f.terms)} term(s)"]
     shown = 0
-    for m in sorted(f.terms, key=lambda mm: mm.pairs):
+    for m in sorted(f.terms, key=lambda mm: mm.partner):
         if shown >= max_terms:
             parts.append(f"% ... ({len(f.terms) - shown} more terms)")
             break

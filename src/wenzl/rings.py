@@ -144,10 +144,6 @@ class LaurentPoly:
     def constant(cls, c: int) -> "LaurentPoly":
         return cls({0: c})
 
-    @classmethod
-    def v_power(cls, e: int, c: int = 1) -> "LaurentPoly":
-        return cls({e: c})
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():

@@ -33,16 +33,15 @@ from .tl import MAX_ARITY, TLMorphism, matching
 def morphism_to_dict(f: TLMorphism) -> dict[str, Any]:
     """The JSON-ready form; each pair is the matching's own (a, b) tuple.
 
-    Sharing the interned pair tuples instead of building a fresh list per
-    pair keeps the allocation count, and with it the garbage collector's
-    work, low on the Catalan-sized morphisms; JSON prints them as arrays.
+    Terms are sorted by ``partner``, which gives the pair-list order without
+    comparing lists of tuples (see ``tl.CrossinglessMatching``).  A
+    matching's pair tuple is built on its first emission and kept, so
+    emitting it again allocates no pairs; JSON prints the tuples as arrays.
     """
     ring = f.ring
     fmt = ring.format
-    terms = [
-        {"pairs": list(m.pairs), "coeff": fmt(c)} for m, c in f.terms.items()
-    ]
-    terms.sort(key=lambda t: t["pairs"])
+    items = sorted(f.terms.items(), key=lambda t: t[0].partner)
+    terms = [{"pairs": list(m.pairs), "coeff": fmt(c)} for m, c in items]
     return {"bottom": f.bottom, "top": f.top, "ring": ring.name, "terms": terms}
 
 

@@ -25,6 +25,13 @@ bits, so its result key costs O(1).  All values are immutable; re-inserting
 an equal matching into the intern table is harmless, so the table tolerates
 concurrent use.
 
+A matching stores only its partner tuple, key and halves.  Its pair list,
+the serialized form, is derived from ``partner`` on first read: the engine
+never reads it, sorting by ``partner`` gives the pair-list order (see
+:class:`CrossinglessMatching`), the through strands are read off the key,
+and :func:`matching` checks a pair list against an interned matching's
+partners.  So building and verifying projectors builds no pair tuple.
+
 Composition runs through half-diagrams.  A matching x: n -> m with t through
 strands factors as x == hi(x) o lo(x), where lo(x): n -> t keeps the bottom
 arcs and hi(x): t -> m the top arcs (the cell structure of TL; Graham-Lehrer,
@@ -69,29 +76,44 @@ def catalan(k: int) -> int:
 class CrossinglessMatching:
     """An interned planar pairing of ``bottom`` + ``top`` boundary points.
 
-    ``partner`` maps each boundary label to its mate; ``pairs`` lists the
-    pairs as (min, max) sorted by min, which is the canonical serialized
-    form.  ``uid`` is the structural key: the Dyck word of the pairing
-    (bit x set iff ``partner[x] > x``) shifted above ``bottom``.  A planar
-    pairing is fixed by its set of openers and the word's popcount is half
-    the point count, so the key is injective on (bottom, top, pairing); it
-    keys the intern table and the composition memo.  Use :func:`matching`
-    (or the generator helpers below) to obtain instances; the raw
-    constructor skips validation.  Equal matchings are one object, so
-    equality and hashing are by identity.
+    ``partner`` maps each boundary label to its mate.  ``uid`` is the
+    structural key: the Dyck word of the pairing (bit x set iff
+    ``partner[x] > x``) shifted above ``bottom``.  A planar pairing is fixed
+    by its set of openers and the word's popcount is half the point count,
+    so the key is injective on (bottom, top, pairing); it keys the intern
+    table and the composition memo.  Use :func:`matching` (or the generator
+    helpers below) to obtain instances; the raw constructor skips
+    validation.  Equal matchings are one object, so equality and hashing
+    are by identity.
+
+    ``pairs``, the pairs as (min, max) sorted by min (the canonical
+    serialized form), is derived: it is built from ``partner`` on first read
+    and kept, like the halves.  The engine never reads it, so most interned
+    matchings never hold one.  Sorting by ``partner`` gives the same order
+    as sorting by ``pairs`` within a Hom space: where two planar pairings
+    first differ, at label x, both open an arc (had x closed to y < x in
+    one, the other would agree that ``partner[y] == x``), so the pair lists
+    first differ at (x, mate) with the same sign.
     """
 
-    __slots__ = ("bottom", "top", "partner", "pairs", "uid", "_halves", "__weakref__")
+    __slots__ = ("bottom", "top", "partner", "uid", "_halves", "_pairs", "__weakref__")
 
     def __init__(self, bottom: int, top: int, partner: tuple[int, ...], uid: int):
         self.bottom = bottom
         self.top = top
         self.partner = partner
-        self.pairs = tuple(
-            (a, partner[a]) for a in range(bottom + top) if partner[a] > a
-        )
         self.uid = uid
         self._halves = None
+        self._pairs = None
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        p = self._pairs
+        if p is None:
+            p = self._pairs = tuple(
+                (a, b) for a, b in enumerate(self.partner) if b > a
+            )
+        return p
 
     def __repr__(self) -> str:
         return f"Matching({self.bottom}->{self.top}; {list(self.pairs)})"
@@ -113,8 +135,10 @@ class CrossinglessMatching:
         return self.uid >> (_SHIFT + self.bottom) != 0
 
     def through_strands(self) -> int:
+        # a bottom label opens either a bottom arc (which closes at another
+        # bottom label) or a through strand: bottom = 2 * openers - t
         n = self.bottom
-        return sum(1 for a, b in self.pairs if a < n <= b)
+        return 2 * ((self.uid >> _SHIFT) & ((1 << n) - 1)).bit_count() - n
 
 
 # A key holds ``bottom`` in its low _SHIFT bits and the Dyck word above
@@ -162,14 +186,54 @@ def _is_planar(partner: tuple[int, ...]) -> bool:
     return not stack
 
 
+def _interned_match(bottom: int, top: int, pairs) -> CrossinglessMatching | None:
+    """The interned matching that a list of pairs names exactly, or None.
+
+    The list must hold k = (bottom + top) / 2 pairs whose lower ends' key
+    bits give an interned key with the same arities, and each pair (a, b)
+    must be an edge of that matching: ``partner[a] == b`` and
+    ``partner[b] == a``.  Both reads index with an int in range (a negative
+    label would need a negative mate), so the lower ends' bits are the real
+    ones; the word has popcount k, so the k lower ends are distinct and the
+    pairs are k distinct edges, i.e. all of them.  The arity test matters,
+    because a key fixes only ``bottom``: two copies of (0, 1) in Hom(2, 2)
+    key the 2 -> 0 cap.
+    """
+    if not isinstance(pairs, (list, tuple)) or 2 * len(pairs) != bottom + top:
+        return None
+    bit = _BIT
+    uid = bottom
+    try:
+        for a, b in pairs:
+            uid |= bit[a if a < b else b]
+        known = _INTERN.get(uid)
+        if known is None or known.top != top:
+            return None
+        partner = known.partner
+        for a, b in pairs:
+            if partner[a] != b or partner[b] != a:
+                return None
+    except (IndexError, TypeError, ValueError):  # worded by the full check
+        return None
+    return known
+
+
 def matching(
     bottom: int, top: int, pairs: Iterable[tuple[int, int]]
 ) -> CrossinglessMatching:
-    """Validated public constructor from a pair list."""
+    """Validated public constructor from a pair list.
+
+    A list that names an interned matching is checked against it without
+    building a partner list (see :func:`_interned_match`); anything else
+    goes through the full validation, which also words every error.
+    """
     _check_arity(bottom, top)
     total = bottom + top
     if total % 2:
         raise ValueError("bottom + top must be even")
+    known = _interned_match(bottom, top, pairs)
+    if known is not None:
+        return known
     partner = [-1] * total
     count = 0
     bit = _BIT
@@ -216,14 +280,6 @@ def e_matching(i: int, n: int) -> CrossinglessMatching:
     a, b = 2 * n - 1 - i, 2 * n - i
     partner[a], partner[b] = b, a
     return _from_partner(n, n, partner)
-
-
-def cup_matching() -> CrossinglessMatching:
-    return _from_partner(0, 2, (1, 0))
-
-
-def cap_matching() -> CrossinglessMatching:
-    return _from_partner(2, 0, (1, 0))
 
 
 def nested_caps_matching(m: int) -> CrossinglessMatching:
@@ -410,6 +466,9 @@ def halves(
 def enumerate_basis(n: int, m: int) -> tuple[CrossinglessMatching, ...]:
     """All crossingless matchings n -> m, sorted by pair list.
 
+    The sort reads ``partner``, which gives the same order (see
+    :class:`CrossinglessMatching`) and builds no pair tuple.
+
     Empty when n+m is odd (the Hom space is zero).  Size catalan((n+m)/2)
     otherwise.
     """
@@ -438,7 +497,7 @@ def enumerate_basis(n: int, m: int) -> tuple[CrossinglessMatching, ...]:
 
     for uid in rec(tuple(range(total)), n):
         out.append(_intern(uid, n, m, partner))
-    out.sort(key=lambda mm: mm.pairs)
+    out.sort(key=lambda mm: mm.partner)
     return tuple(out)
 
 

@@ -1,9 +1,14 @@
-"""Disk cache: verified loads over Q and over F_p; atomic writes."""
+"""Disk cache: verified loads over Q and over F_p; atomic, merging writes."""
 
 import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import wenzl
 from wenzl import cache as cache_module
 from wenzl.cache import CacheIntegrityError, DiskCache
 from wenzl.pjw import rational_pjw, reduce_pjw
@@ -38,6 +43,67 @@ def test_malformed_entry_refused(tmp_path, reduced):
     cache.manifest[path.name] = cache._digest(payload)
     with pytest.raises(CacheIntegrityError, match="malformed"):
         cache.load_morphism("pjw", "Fp:3", 3, 7)
+
+
+def test_two_writers_keep_each_others_entries(tmp_path, reduced, caches):
+    # each writer read an empty manifest; the second must not drop the
+    # first writer's digest when it writes its own
+    first, second = DiskCache(tmp_path), DiskCache(tmp_path)
+    rational = rational_pjw(7, 3, caches).total
+    first.store_morphism("pjw", 3, 7, reduced)
+    second.store_morphism("pjw", 3, 7, rational)
+    reader = DiskCache(tmp_path)
+    assert reader.load_morphism("pjw", "Fp:3", 3, 7) == reduced
+    assert reader.load_morphism("pjw", "Q", 3, 7) == rational
+    assert second.load_morphism("pjw", "Fp:3", 3, 7) == reduced
+
+
+_WRITER = """
+import sys, time
+from wenzl.cache import DiskCache
+from wenzl.jw import jones_wenzl
+directory, worker, start = sys.argv[1], int(sys.argv[2]), float(sys.argv[3])
+jw3 = jones_wenzl(3)
+cache = DiskCache(directory)  # read before any worker writes
+time.sleep(max(0.0, start - time.time()))
+for j in range(40):
+    cache.store_morphism("jw", 1000 * worker + j, 3, jw3)
+"""
+
+
+def test_concurrent_writer_processes_lose_no_entry(tmp_path):
+    # more writers than cores, all storing at once; each entry must survive
+    env = dict(os.environ, PYTHONPATH=str(Path(wenzl.__file__).parents[1]))
+    start = time.time() + 2.0
+    procs = [
+        subprocess.Popen([sys.executable, "-c", _WRITER, str(tmp_path), str(w), repr(start)],
+                         env=env, stderr=subprocess.PIPE, text=True)
+        for w in range(3)
+    ]
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    reader = DiskCache(tmp_path)
+    assert len(reader.manifest) == 120
+    for w in range(3):
+        for j in range(0, 40, 13):
+            assert reader.load_morphism("jw", "Q", 1000 * w + j, 3) is not None
+
+
+def test_reader_sees_entries_stored_after_it_opened(tmp_path, reduced, caches):
+    writer = DiskCache(tmp_path)
+    writer.store_morphism("pjw", 3, 7, reduced.scale(reduced.ring.from_int(2)))
+    reader = DiskCache(tmp_path)  # holds the scaled entry's digest
+    rational = rational_pjw(7, 3, caches).total
+    writer.store_morphism("pjw", 3, 7, rational)  # a new entry
+    writer.store_morphism("pjw", 3, 7, reduced)  # a replaced one
+    assert reader.load_morphism("pjw", "Q", 3, 7) == rational
+    assert reader.load_morphism("pjw", "Fp:3", 3, 7) == reduced
+    # a payload that matches no manifest, old or new, is still refused
+    path = tmp_path / "pjw_Q_p3_n7.json"
+    path.write_text(path.read_text() + " ")
+    with pytest.raises(CacheIntegrityError, match="checksum"):
+        reader.load_morphism("pjw", "Q", 3, 7)
 
 
 @pytest.mark.parametrize(

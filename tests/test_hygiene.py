@@ -1,8 +1,11 @@
-"""Source hygiene: every name a module imports is read somewhere in it, and
-every function the bench tracer wraps by name still exists."""
+"""Source hygiene: every name a module imports is read somewhere in it,
+every function the bench tracer wraps by name still exists, and the engine's
+hot paths build no pair tuple."""
 
 import ast
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -69,3 +72,27 @@ def test_bench_tracer_targets_resolve():
     assert [t.name for t in tracer.TARGETS if tracer._resolve(t) is None] == []
     for name in ("_INTERN", "_COMPOSE_MEMO"):
         assert len(getattr(tl, name)) >= 0
+
+
+_HOT_PATHS = """
+from wenzl import jw, pjw, tl
+jw.jones_wenzl(9)
+for n in range(1, 10):
+    assert pjw.verify_battery(pjw.rational_pjw(n, 3)).ok
+print(len(tl._INTERN), sum(m._pairs is not None for m in tl._INTERN.values()))
+"""
+
+
+def test_hot_paths_build_no_pair_tuples():
+    # pairs are derived for serialization and rendering only: building
+    # projectors and running the battery must never read them.  A fresh
+    # process, so the intern table holds only what these paths made.
+    env = dict(os.environ, PYTHONPATH=str(Path(wenzl.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HOT_PATHS],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    interned, with_pairs = map(int, proc.stdout.split())
+    assert interned > 1000
+    assert with_pairs == 0

@@ -13,7 +13,6 @@ from wenzl.jw import (
     jones_wenzl,
     lambda_closure_scalar,
     sandwich_test,
-    two_sided_recursion_step,
 )
 from wenzl.rings import NonInvertible, PrimeFieldRing, QQ
 from wenzl.tl import (
@@ -216,6 +215,17 @@ def test_jw2_value(jw_cache):
 
 def test_jw1_is_identity(jw_cache):
     assert jones_wenzl(1, QQ, jw_cache) == TLMorphism.identity(1)
+
+
+def two_sided_recursion_step(k: int, cache: JWCache) -> TLMorphism:
+    """JW_k (x) id + k/(k+1) (JW_k (x) id) o e_k o (JW_k (x) id), literally.
+
+    The textbook recursion as an oracle: the result must equal JW_{k+1}.
+    Quadratic in the term count, so only used at small k.
+    """
+    grown = tensor_with_identity(jones_wenzl(k, QQ, cache), 1)
+    middle = compose(grown, apply_matching_left(e_matching(k, k + 1), grown))
+    return grown.add(middle.scale(Fraction(k, k + 1)))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])

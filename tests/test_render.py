@@ -2,7 +2,7 @@
 
 from wenzl.render import ascii_matching, ascii_morphism, tikz_matching
 from wenzl.rings import QQ
-from wenzl.tl import TLMorphism, cup_matching, e_matching, identity_matching
+from wenzl.tl import TLMorphism, e_matching, identity_matching, matching
 
 
 def test_identity_is_vertical_bars():
@@ -16,7 +16,7 @@ def test_e1_is_cup_over_cap():
 
 
 def test_cup_render():
-    art = ascii_matching(cup_matching())
+    art = ascii_matching(matching(0, 2, [(0, 1)]))
     assert "+" in art and "-" in art
 
 

@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wenzl.hecke import HeckeElement
 from wenzl.rings import LaurentPoly, PrimeFieldRing, QQ
@@ -16,7 +17,7 @@ from wenzl.serialize import (
     morphism_to_dict,
     morphism_to_json,
 )
-from wenzl.tl import TLMorphism, enumerate_basis
+from wenzl.tl import TLMorphism, enumerate_basis, identity_matching, matching
 
 
 def random_morphism(rng, n, m, ring):
@@ -41,6 +42,39 @@ def test_morphism_roundtrip_randomized(ring):
         n, m = rng.choice([(0, 0), (1, 1), (2, 2), (3, 3), (2, 4), (1, 3), (4, 4), (0, 4)])
         f = random_morphism(rng, n, m, ring)
         assert morphism_from_json(morphism_to_json(f)) == f
+
+
+def _emit_oracle(f):
+    """The emitter as it was with stored pair tuples: terms sorted by pair list."""
+    terms = []
+    for mm, c in f.terms.items():
+        p = mm.partner
+        pairs = [(a, p[a]) for a in range(mm.bottom + mm.top) if p[a] > a]
+        terms.append({"pairs": pairs, "coeff": f.ring.format(c)})
+    terms.sort(key=lambda t: t["pairs"])
+    return json.dumps({"bottom": f.bottom, "top": f.top, "ring": f.ring.name, "terms": terms})
+
+
+_RINGS = [QQ, PrimeFieldRing(2), PrimeFieldRing(3), PrimeFieldRing(5)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ring=st.sampled_from(_RINGS),
+    nm=st.sampled_from([(n, m) for n in range(9) for m in range(9 - n) if (n + m) % 2 == 0]),
+    data=st.data(),
+)
+def test_emission_matches_pair_list_oracle(ring, nm, data):
+    basis = enumerate_basis(*nm)
+    chosen = data.draw(st.lists(st.sampled_from(basis), max_size=40, unique=True))
+    terms = {}
+    for mm in chosen:
+        num = data.draw(st.integers(-50, 50))
+        c = QQ.fraction(num, data.draw(st.integers(1, 30))) if ring is QQ else ring.from_int(num)
+        if c:
+            terms[mm] = c
+    f = TLMorphism(*nm, ring, terms)
+    assert morphism_to_json(f) == _emit_oracle(f)
 
 
 def test_schema_shape():
@@ -116,14 +150,31 @@ _ID2 = [[0, 3], [1, 2]]
         {"bottom": -2, "top": 2, "ring": "Q", "terms": [{"pairs": [], "coeff": "1"}]},
         {"bottom": 10**12, "top": 2, "ring": "Q", "terms": [{"pairs": _ID2, "coeff": "1"}]},
         {"bottom": 256, "top": 2, "ring": "Q", "terms": []},
+        {"bottom": 2, "top": 2, "ring": "Q", "terms": [{"pairs": [[0, 1], [0, 1]], "coeff": "1"}]},
+        {"bottom": 2, "top": 2, "ring": "Q", "terms": [{"pairs": [[0, 2], [1, 3]], "coeff": "1"}]},
+        {"bottom": 2, "top": 2, "ring": "Q", "terms": [{"pairs": [[0, 3.0], [1, 2]], "coeff": "1"}]},
+        {"bottom": 2, "top": 2, "ring": "Q", "terms": [{"pairs": [[3.0, 0], [1, 2]], "coeff": "1"}]},
         [{"pairs": _ID2, "coeff": "1"}],
         "morphism",
     ],
     ids=["zero_denominator", "missing_coeff", "missing_pairs", "missing_ring",
          "ring_not_a_name", "pairs_not_a_list", "terms_not_a_list", "negative_arity",
-         "pairs_short_of_arity", "arity_over_key_bound", "top_level_array",
-         "top_level_string"],
+         "pairs_short_of_arity", "arity_over_key_bound", "duplicate_pair_keys_smaller_arity",
+         "crossing_twin_of_interned", "float_upper_label", "float_lower_label",
+         "top_level_array", "top_level_string"],
 )
 def test_morphism_from_dict_refuses_malformed(doc):
+    # intern the matchings whose keys the malformed pair lists share, so
+    # those lists reach the interned-key check in matching()
+    matching(2, 0, [(0, 1)])
+    identity_matching(2)
     with pytest.raises(ValueError):
         morphism_from_dict(doc)
+
+
+def test_morphism_from_dict_accepts_reversed_pairs():
+    doc = {"bottom": 2, "top": 2, "ring": "Q",
+           "terms": [{"pairs": [[1, 0], [3, 2]], "coeff": "1/2"}]}
+    f = morphism_from_dict(doc)
+    assert f == TLMorphism.from_matching(matching(2, 2, [(0, 1), (2, 3)]), QQ, QQ.parse("1/2"))
+    assert morphism_from_dict(morphism_to_dict(f)) == f

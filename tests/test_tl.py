@@ -20,8 +20,6 @@ from wenzl.tl import (
     apply_matching_right,
     catalan,
     compose,
-    cap_matching,
-    cup_matching,
     e_matching,
     bottom_killed_upto,
     enumerate_basis,
@@ -78,6 +76,31 @@ def test_enumeration_matches_oracle(n, m):
     assert len(got) == catalan((n + m) // 2)
 
 
+def _pairs_oracle(mm):
+    """The pair tuple as matchings stored it when built: (min, max) by min."""
+    p = mm.partner
+    return tuple((a, p[a]) for a in range(mm.bottom + mm.top) if p[a] > a)
+
+
+def _small_hom_spaces(limit=10):
+    return [(n, m) for n in range(limit + 1) for m in range(limit + 1 - n) if (n + m) % 2 == 0]
+
+
+@pytest.mark.parametrize("n,m", _small_hom_spaces())
+def test_derived_pairs_and_strands_match_stored_oracle(n, m):
+    for mm in enumerate_basis(n, m):
+        want = _pairs_oracle(mm)
+        assert mm.pairs == want
+        assert mm.pairs is mm.pairs  # built once, then kept
+        assert mm.through_strands() == sum(1 for a, b in want if a < n <= b)
+
+
+@pytest.mark.parametrize("n,m", _small_hom_spaces())
+def test_enumeration_sorted_by_pair_lists(n, m):
+    basis = enumerate_basis(n, m)
+    assert list(basis) == sorted(basis, key=_pairs_oracle)
+
+
 def test_enumeration_sizes():
     assert len(enumerate_basis(4, 4)) == catalan(4) == 14
     assert len(enumerate_basis(1, 3)) == 2
@@ -101,6 +124,13 @@ def test_matching_validation():
         matching(1, 2, [(0, 1)])
     m = matching(2, 2, [(0, 3), (1, 2)])
     assert m is identity_matching(2)
+    # pair lists whose key is interned: two copies of (0, 1) in Hom(2, 2)
+    # key the 2 -> 0 cap, and the crossing twin keys the identity
+    matching(2, 0, [(0, 1)])
+    with pytest.raises(ValueError, match="used twice"):
+        matching(2, 2, [[0, 1], [0, 1]])
+    with pytest.raises(ValueError, match="not planar"):
+        matching(2, 2, [[0, 2], [1, 3]])
 
 
 def test_equal_matchings_are_one_object():
@@ -108,6 +138,9 @@ def test_equal_matchings_are_one_object():
     assert matching(2, 2, [(0, 3), (1, 2)]) is matching(2, 2, [(1, 2), (0, 3)])
     # either end of a pair may come first
     assert matching(2, 2, [(3, 0), (2, 1)]) is identity_matching(2)
+    assert matching(2, 2, [[1, 0], [3, 2]]) is e_matching(1, 2)
+    # a generator is read once, by the full check
+    assert matching(2, 2, ((a, 3 - a) for a in range(2))) is identity_matching(2)
     assert matching(3, 1, [(3, 0), (2, 1)]) is matching(3, 1, [(0, 3), (1, 2)])
 
 
@@ -223,8 +256,8 @@ def test_identity_composition():
 
 
 def test_cap_cup_loop():
-    cup = as_morphism(cup_matching())  # 0 -> 2
-    cap = as_morphism(cap_matching())  # 2 -> 0
+    cup = as_morphism(matching(0, 2, [(0, 1)]))  # 0 -> 2
+    cap = as_morphism(matching(2, 0, [(0, 1)]))  # 2 -> 0
     closed = compose(cap, cup)  # 0 -> 0
     assert closed == TLMorphism.identity(0).scale(Fraction(-2))
 
@@ -246,7 +279,7 @@ def test_tl_relations():
 def test_tensor_examples():
     id2, id3 = identity_matching(2), identity_matching(3)
     assert matching_tensor(id2, id3) is identity_matching(5)
-    cc = matching_tensor(cap_matching(), cap_matching())
+    cc = matching_tensor(matching(2, 0, [(0, 1)]), matching(2, 0, [(0, 1)]))
     assert cc.pairs == ((0, 1), (2, 3))
     e1_in_3 = matching_tensor(e_matching(1, 2), identity_matching(1))
     assert e1_in_3 is e_matching(1, 3)
@@ -258,7 +291,7 @@ def test_nested_caps_shape():
 
 
 def test_flip_examples():
-    assert matching_flip(cup_matching()) is cap_matching()
+    assert matching_flip(matching(0, 2, [(0, 1)])) is matching(2, 0, [(0, 1)])
     assert matching_flip(identity_matching(4)) is identity_matching(4)
     assert matching_flip(e_matching(2, 5)) is e_matching(2, 5)
 

@@ -14,8 +14,9 @@ is killed part-way leaves the previous file whole.  Writers on one directory
 take an exclusive ``flock`` on ``manifest.lock`` there, re-read the manifest
 on disk and add their digest to it, so concurrent writers keep each other's
 entries; a reader whose copy of the manifest lacks an entry, or holds an
-older digest for it, reads both files again under that lock before it
-refuses the entry.
+older digest for it, reads both files again under a shared lock on that file
+before it refuses the entry.  A reader that cannot open the lock file (a
+directory it cannot write, with no lock file yet) refuses at once.
 """
 
 from __future__ import annotations
@@ -79,6 +80,24 @@ class DiskCache:
         finally:
             os.close(fd)  # releases the lock
 
+    def _reread(self, path: Path) -> Optional[str]:
+        """Read path and the manifest again under a shared lock; path's text.
+
+        None when the lock file cannot be opened, as in a directory this
+        reader cannot write that no writer has locked yet.
+        """
+        try:
+            fd = os.open(self.lock_path, os.O_RDONLY)
+        except OSError:
+            return None
+        try:
+            fcntl.flock(fd, fcntl.LOCK_SH)
+            payload = path.read_text()
+            self.manifest = self._read_manifest()
+        finally:
+            os.close(fd)  # releases the lock
+        return payload
+
     def _stage(self, text: str) -> str:
         """text in a new temporary file in the cache directory; its path."""
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
@@ -104,6 +123,7 @@ class DiskCache:
         payload = morphism_to_json(value)
         name = self._filename(kind, value.ring.name, p, n)
         staged = self._stage(payload)
+        staged_manifest = None
         try:
             # another writer may have added entries since this object read
             # the manifest: merge into the one on disk, under the lock
@@ -115,8 +135,9 @@ class DiskCache:
                 os.replace(staged, self.directory / name)
                 os.replace(staged_manifest, self.manifest_path)
         except BaseException:
-            if os.path.exists(staged):
-                os.unlink(staged)
+            for tmp in (staged, staged_manifest):
+                if tmp is not None and os.path.exists(tmp):
+                    os.unlink(tmp)
             raise
         self.manifest = manifest
         return self.directory / name
@@ -134,11 +155,9 @@ class DiskCache:
         if want is None or self._digest(payload) != want:
             # another writer may have stored this entry since the manifest
             # was read: read both again, between writes, before refusing
-            with self._locked():
-                payload = path.read_text()
-                self.manifest = self._read_manifest()
+            payload = self._reread(path)
             want = self.manifest.get(name)
-            if want is None or self._digest(payload) != want:
+            if payload is None or want is None or self._digest(payload) != want:
                 raise CacheIntegrityError(f"checksum mismatch for {name}")
         try:
             value = morphism_from_json(payload)

@@ -28,9 +28,8 @@ concurrent use.
 A matching stores only its partner tuple, key and halves.  Its pair list,
 the serialized form, is derived from ``partner`` on first read: the engine
 never reads it, sorting by ``partner`` gives the pair-list order (see
-:class:`CrossinglessMatching`), the through strands are read off the key,
-and :func:`matching` checks a pair list against an interned matching's
-partners.  So building and verifying projectors builds no pair tuple.
+:class:`CrossinglessMatching`) and the through strands are read off the
+key.  So building and verifying projectors builds no pair tuple.
 
 Composition runs through half-diagrams.  A matching x: n -> m with t through
 strands factors as x == hi(x) o lo(x), where lo(x): n -> t keeps the bottom
@@ -186,54 +185,14 @@ def _is_planar(partner: tuple[int, ...]) -> bool:
     return not stack
 
 
-def _interned_match(bottom: int, top: int, pairs) -> CrossinglessMatching | None:
-    """The interned matching that a list of pairs names exactly, or None.
-
-    The list must hold k = (bottom + top) / 2 pairs whose lower ends' key
-    bits give an interned key with the same arities, and each pair (a, b)
-    must be an edge of that matching: ``partner[a] == b`` and
-    ``partner[b] == a``.  Both reads index with an int in range (a negative
-    label would need a negative mate), so the lower ends' bits are the real
-    ones; the word has popcount k, so the k lower ends are distinct and the
-    pairs are k distinct edges, i.e. all of them.  The arity test matters,
-    because a key fixes only ``bottom``: two copies of (0, 1) in Hom(2, 2)
-    key the 2 -> 0 cap.
-    """
-    if not isinstance(pairs, (list, tuple)) or 2 * len(pairs) != bottom + top:
-        return None
-    bit = _BIT
-    uid = bottom
-    try:
-        for a, b in pairs:
-            uid |= bit[a if a < b else b]
-        known = _INTERN.get(uid)
-        if known is None or known.top != top:
-            return None
-        partner = known.partner
-        for a, b in pairs:
-            if partner[a] != b or partner[b] != a:
-                return None
-    except (IndexError, TypeError, ValueError):  # worded by the full check
-        return None
-    return known
-
-
 def matching(
     bottom: int, top: int, pairs: Iterable[tuple[int, int]]
 ) -> CrossinglessMatching:
-    """Validated public constructor from a pair list.
-
-    A list that names an interned matching is checked against it without
-    building a partner list (see :func:`_interned_match`); anything else
-    goes through the full validation, which also words every error.
-    """
+    """Validated public constructor from a pair list."""
     _check_arity(bottom, top)
     total = bottom + top
     if total % 2:
         raise ValueError("bottom + top must be even")
-    known = _interned_match(bottom, top, pairs)
-    if known is not None:
-        return known
     partner = [-1] * total
     count = 0
     bit = _BIT

@@ -155,3 +155,49 @@ def test_failed_write_keeps_previous_entry(tmp_path, reduced, monkeypatch, torn)
     assert sorted(path.name for path in tmp_path.iterdir()) == before
     assert cache.load_morphism("pjw", "Fp:3", 3, 7) == reduced
     assert DiskCache(tmp_path).load_morphism("pjw", "Fp:3", 3, 7) == reduced
+
+
+@pytest.mark.parametrize("failing", [1, 2], ids=["payload", "manifest"])
+def test_failed_replace_leaves_no_staged_file(tmp_path, reduced, monkeypatch, failing):
+    cache = DiskCache(tmp_path)
+    cache.store_morphism("pjw", 3, 7, reduced)
+    before = sorted(path.name for path in tmp_path.iterdir())
+    real_replace = os.replace
+    calls = []
+
+    def replace(src, dst):
+        calls.append(dst)
+        if len(calls) == failing:
+            raise OSError(5, "Input/output error")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cache_module.os, "replace", replace)
+    with pytest.raises(OSError, match="Input/output"):
+        cache.store_morphism("pjw", 3, 7, reduced.scale(reduced.ring.from_int(2)))
+    monkeypatch.undo()
+    assert sorted(path.name for path in tmp_path.iterdir()) == before
+
+
+def test_reader_that_cannot_open_the_lock_refuses(tmp_path, reduced, caches, monkeypatch):
+    # a reader of a directory it cannot write: the lock file cannot be
+    # opened (root ignores chmod, so the open is made to fail)
+    writer = DiskCache(tmp_path)
+    reader = DiskCache(tmp_path)  # read before the entry was stored
+    writer.store_morphism("pjw", 3, 7, reduced)
+    real_open = os.open
+
+    def no_lock(path, *args, **kwargs):
+        if Path(path).name == "manifest.lock":
+            raise PermissionError(13, "Permission denied", str(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cache_module.os, "open", no_lock)
+    with pytest.raises(CacheIntegrityError, match="checksum"):
+        reader.load_morphism("pjw", "Fp:3", 3, 7)
+    path = tmp_path / "pjw_Fp_3_p3_n7.json"
+    path.write_text(path.read_text() + " ")
+    with pytest.raises(CacheIntegrityError, match="checksum"):
+        DiskCache(tmp_path).load_morphism("pjw", "Fp:3", 3, 7)
+    monkeypatch.undo()
+    path.write_text(path.read_text()[:-1])
+    assert reader.load_morphism("pjw", "Fp:3", 3, 7) == reduced  # re-read under the lock

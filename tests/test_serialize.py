@@ -164,8 +164,8 @@ _ID2 = [[0, 3], [1, 2]]
          "top_level_array", "top_level_string"],
 )
 def test_morphism_from_dict_refuses_malformed(doc):
-    # intern the matchings whose keys the malformed pair lists share, so
-    # those lists reach the interned-key check in matching()
+    # intern the matchings whose keys the malformed pair lists share: a
+    # list that keys an interned matching is refused all the same
     matching(2, 0, [(0, 1)])
     identity_matching(2)
     with pytest.raises(ValueError):

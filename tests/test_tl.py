@@ -139,7 +139,7 @@ def test_equal_matchings_are_one_object():
     # either end of a pair may come first
     assert matching(2, 2, [(3, 0), (2, 1)]) is identity_matching(2)
     assert matching(2, 2, [[1, 0], [3, 2]]) is e_matching(1, 2)
-    # a generator is read once, by the full check
+    # any iterable of pairs, read once
     assert matching(2, 2, ((a, 3 - a) for a in range(2))) is identity_matching(2)
     assert matching(3, 1, [(3, 0), (2, 1)]) is matching(3, 1, [(0, 3), (1, 2)])
 

@@ -20,7 +20,7 @@ print(ascii_morphism(jones_wenzl(2)))
 
 jw4 = jones_wenzl(4)
 print(f"\nJW_4 has {len(jw4.terms)} diagram terms; its largest denominator is "
-      f"{max(c.denominator for c in jw4.terms.values())}.")
+      f"{max(c.denominator for _, c in jw4.items())}.")
 print("e_2 o JW_4 =", "0" if apply_e_top(2, jw4).is_zero() else "nonzero")
 print("JW_4 o JW_4 == JW_4:", compose(jw4, jw4) == jw4)
 

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Optional
 
 from .padic import p_support
-from .rings import QQ, p_valuation
+from .rings import QQ, min_p_valuation
 from .serialize import morphism_from_json, morphism_to_json
 from .tl import TLMorphism, bottom_killed_upto, markov_trace, top_killed_upto
 
@@ -182,7 +182,8 @@ class DiskCache:
         elif kind == "pjw":
             ring = value.ring
             if ring_name == QQ.name:
-                integral = all(p_valuation(c, p) >= 0 for c in value.terms.values())
+                nums, den = value.ints()
+                integral = min_p_valuation(nums.values(), den, p) >= 0
             else:
                 integral = ring.p == p
             closure = sum((-1) ** i * (i + 1) for i in p_support(n, p).shifted)

@@ -41,7 +41,7 @@ from .pjw import (
     reduce_pjw,
     verify_battery,
 )
-from .rings import NonInvertible, PrimeFieldRing, QQ, p_valuation
+from .rings import NonInvertible, PrimeFieldRing, QQ, min_p_valuation
 from .render import ascii_morphism, tikz_morphism
 from .serialize import (
     decomposition_to_json,
@@ -116,7 +116,7 @@ def cmd_jw(args) -> int:
         lines = [ascii_morphism(value)]
         lines.append(f"terms: {len(value.terms)}")
         if ring is QQ:
-            maxden = max((c.denominator for c in value.terms.values()), default=1)
+            maxden = max((c.denominator for _, c in value.items()), default=1)
             lines.append(f"max denominator: {maxden}")
         _emit("\n".join(lines), args.out)
     return EXIT_OK
@@ -149,7 +149,8 @@ def cmd_pjw(args) -> int:
         _emit(tikz_morphism(dec.total), args.out)
     else:
         lam = ", ".join(f"{i}: {t.lam}" for i, t in sorted(dec.terms.items()))
-        minval = min(p_valuation(c, args.p) for c in dec.total.terms.values())
+        nums, den = dec.total.ints()
+        minval = min_p_valuation(nums.values(), den, args.p)
         lines = [
             f"lambda table: {{{lam}}}",
             f"terms in total: {len(dec.total.terms)}",

@@ -17,9 +17,10 @@ test suite checks them against each other and against a brute-force solve of
 the defining linear system); every cache insertion re-verifies the defining
 properties.
 
-Both uses of the expansion, building JW_k and applying it, run on int
-numerators through generator rewirings (``tl.rewire_ints``): one lift, one
-O(1) splice per diagram and generator, one settle, and no ladder diagram.
+Both uses of the expansion, building JW_k and applying it, run on a
+morphism's int numerators through generator rewirings (``tl.rewire_ints``):
+one O(1) splice per diagram and generator, one canonicalisation of the
+result, and no ladder diagram.
 Building walks x o e_{k-1}, x o e_{k-1} e_{k-2}, ... with one rewiring per
 step.  Applying evaluates each layer L by Horner's rule, acc <- e_j (acc +
 j cur) for j = h .. L-1, which costs L - h rewirings where one generator
@@ -34,7 +35,6 @@ that a verified annihilation bound h kills.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .rings import NonInvertible, NotPIntegral, PrimeFieldRing, QQ
@@ -112,13 +112,12 @@ def jones_wenzl(n: int, ring=QQ, cache: Optional[JWCache] = None) -> TLMorphism:
     if isinstance(ring, PrimeFieldRing):
         rational = jones_wenzl(n, QQ, cache)
         try:
-            terms = {m: ring.from_rational(c) for m, c in rational.terms.items()}
+            nums, den = ring.canonical(*rational.ints())
         except NotPIntegral as exc:
             raise NonInvertible(
                 f"JW_{n} is not defined over F_{ring.p}: {exc}"
             ) from exc
-        value = TLMorphism(n, n, ring, ring.clean(terms))
-        return cache.insert(ring, n, value)
+        return cache.insert(ring, n, TLMorphism._from_nums(n, n, ring, nums, den))
 
     # rational construction, one strand at a time
     for k in range(2, n + 1):
@@ -128,13 +127,13 @@ def jones_wenzl(n: int, ring=QQ, cache: Optional[JWCache] = None) -> TLMorphism:
         if prev is None:
             prev = jones_wenzl(k - 1, ring, cache)
         # k x + sum_j j (x o e_{k-1} ... e_j) over k den, x = JW_{k-1} (x) id
-        x, den = ring.lift(tensor_with_identity(prev, 1).terms)
+        x, den = tensor_with_identity(prev, 1).ints()
         acc = _add_scaled({}, k, x)
         t = x
         for j in range(k - 1, 0, -1):
             t = rewire_ints(t, j - 1, j)  # t o e_j
             _add_scaled(acc, j, t)
-        value = TLMorphism(k, k, ring, ring.settle(acc, k * den))
+        value = TLMorphism._from_nums(k, k, ring, *ring.canonical(acc, k * den))
         del x, t, acc  # the insertion scans need none of the build's sums
         cache.insert(ring, k, value)
 
@@ -192,7 +191,7 @@ def _ladder(k: int, x: TLMorphism) -> TLMorphism:
     The verified bound h = x._top_kill (e_i o x == 0 for i < h) makes every
     skipped word vanish, and it drops by at most one per layer.
     """
-    cur, den = QQ.lift(x.terms)
+    cur, den = x.ints()
     edge = x.bottom + x.top  # top position i-1 has label edge - i
     h = x._top_kill
     for layer in range(k, 1, -1):
@@ -202,7 +201,7 @@ def _ladder(k: int, x: TLMorphism) -> TLMorphism:
         cur = _add_scaled(acc, layer, cur)
         den *= layer
         h = max(1, h - 1)
-    return TLMorphism(x.bottom, x.top, QQ, QQ.settle(cur, den))
+    return TLMorphism._from_nums(x.bottom, x.top, QQ, *QQ.canonical(cur, den))
 
 
 def absorbs_certificate(x: TLMorphism) -> bool:
@@ -222,19 +221,17 @@ def absorbs_certificate(x: TLMorphism) -> bool:
     )
 
 
-def lambda_closure_scalar(n: int, m: int) -> Fraction:
-    """The scalar produced by closing the rightmost m strands of JW_n:
+def lambda_closure_scalar(n: int, m: int):
+    """The rational scalar produced by closing the rightmost m strands of JW_n:
 
         lambda(n, m) = (-1)^m (n+1)/(n+1-m),   0 <= m <= n.
     """
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    return Fraction((-1) ** m * (n + 1), n + 1 - m)
+    return QQ.fraction((-1) ** m * (n + 1), n + 1 - m)
 
 
-def close_jw(
-    n: int, m: int, cache: Optional[JWCache] = None
-) -> tuple[TLMorphism, Fraction]:
+def close_jw(n: int, m: int, cache: Optional[JWCache] = None) -> tuple:
     """Close the rightmost m strands of JW_n and verify the scalar identity.
 
     Returns (closure, lambda(n, m)) after checking that the closure equals

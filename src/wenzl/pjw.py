@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .padic import p_adic_expansion, p_support
-from .rings import NotPIntegral, PrimeFieldRing, QQ, p_valuation
+from .rings import NotPIntegral, PrimeFieldRing, QQ, min_p_valuation
 from .jw import (
     GLOBAL_JW_CACHE,
     JWCache,
@@ -266,17 +266,16 @@ def reduce_pjw(dec: PJWDecomposition) -> TLMorphism:
     Every coefficient is p-integral (the battery checks this directly), so a
     reduction failure is an implementation bug and raises loudly.
     """
-    ring = PrimeFieldRing(dec.prime)
-    out = {}
-    for mm, c in dec.total.terms.items():
-        try:
-            out[mm] = ring.from_rational(c)
-        except NotPIntegral as exc:
-            raise PJWIntegrityError(
-                f"coefficient {c} of the ({dec.prime}, {dec.n}) projector "
-                f"is not {dec.prime}-integral"
-            ) from exc
-    return TLMorphism(dec.n, dec.n, ring, ring.clean(out))
+    p = dec.prime
+    ring = PrimeFieldRing(p)
+    try:
+        nums, den = ring.canonical(*dec.total.ints())
+    except NotPIntegral as exc:
+        c = next(c for _, c in dec.total.items() if c.denominator % p == 0)
+        raise PJWIntegrityError(
+            f"coefficient {c} of the ({p}, {dec.n}) projector is not {p}-integral"
+        ) from exc
+    return TLMorphism._from_nums(dec.n, dec.n, ring, nums, den)
 
 
 def markov_closure(dec: PJWDecomposition) -> Fraction:
@@ -387,8 +386,8 @@ def verify_battery(
         "direct",
     )
 
-    vals = [p_valuation(c, p) for c in dec.total.terms.values()]
-    minval = min(vals) if vals else 0
+    nums, den = dec.total.ints()
+    minval = min_p_valuation(nums.values(), den, p)
     add("p_integrality", minval >= 0, "direct", f"min valuation {minval}")
 
     add("flip_invariant", dec.total.flip() == dec.total, "direct")

@@ -124,7 +124,7 @@ def ascii_morphism(f: TLMorphism, max_terms: int = 24) -> str:
         if shown >= max_terms:
             blocks.append(f"... ({len(f.terms) - shown} more terms)")
             break
-        blocks.append(f"coeff {f.ring.format(f.terms[m])}:")
+        blocks.append(f"coeff {f.ring.format(f.coefficient(m))}:")
         blocks.append(ascii_matching(m))
         shown += 1
     return "\n".join(blocks)
@@ -166,7 +166,7 @@ def tikz_morphism(f: TLMorphism, max_terms: int = 12) -> str:
         if shown >= max_terms:
             parts.append(f"% ... ({len(f.terms) - shown} more terms)")
             break
-        parts.append(f"% coefficient {f.ring.format(f.terms[m])}")
+        parts.append(f"% coefficient {f.ring.format(f.coefficient(m))}")
         parts.append(tikz_matching(m))
         shown += 1
     return "\n".join(parts)

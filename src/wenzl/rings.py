@@ -7,16 +7,20 @@ lacks: p-adic valuation, reduction modulo p, a prime-field element type, and
 integer-coefficient Laurent polynomials in one variable v.
 
 Diagram-valued linear algebra elsewhere in the package is generic over a
-small *ring adapter* object (RationalRing / PrimeFieldRing).  Coefficients are
-combined with the plain ``+`` and ``*`` of their Python type; the adapter
-holds the one ring-dependent step, normalising the result (``reduce`` for a
-scalar, ``clean`` for an accumulated coefficient map), plus conversion,
-parsing and printing.  The hot kernels work on plain ints throughout:
-``lift`` writes a coefficient map as int numerators over one common
-denominator (the identity on F_p), the kernel accumulates ints, and
-``settle`` turns the resulting map back into ring elements.  Over F_p the
-adapter works on plain int residues; the FpElement class is the convenient
-value type for user-facing arithmetic.
+small *ring adapter* object (RationalRing / PrimeFieldRing).  A morphism does
+not hold ring elements: it holds int numerators over one denominator, in
+canonical form -- the denominator is positive, it is coprime to the
+numerators taken together, and no numerator is zero; over F_p the
+denominator is 1 and the numerators are residues in [1, p).  The kernels
+accumulate plain ints, and the adapter's ``canonical`` turns the int sums
+over a denominator back into that form, with one gcd over the whole map
+(over F_p, one reduction mod p).  ``split`` writes a ring element as
+(numerator, denominator) and ``element`` builds one back: a ``Fraction``
+exists only where a caller reads a coefficient.  ``format_ratio`` and
+``parse_ratio`` are the string forms of a (numerator, denominator) pair,
+so serialization builds no ring element either.  Over F_p ring elements are
+plain int residues; the FpElement class is the convenient value type for
+user-facing arithmetic.
 
 No floating point anywhere.
 """
@@ -25,8 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Union
+from math import gcd
+from typing import Iterable, Union
 
 from .padic import is_prime
 
@@ -39,6 +43,15 @@ class NonInvertible(ArithmeticError):
     """Raised when a required inverse does not exist in the coefficient ring."""
 
 
+def _valuation(m: int, p: int) -> int:
+    """The exponent of p in the nonzero int m."""
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
+
+
 def p_valuation(x, p: int) -> int:
     """The exponent v with x = p**v * (unit in Z localized at p); x != 0."""
     if not is_prime(p):
@@ -47,15 +60,31 @@ def p_valuation(x, p: int) -> int:
         x = Fraction(x)
     if x == 0:
         raise ZeroDivisionError("p_valuation(0) is undefined")
+    return _valuation(int(x.numerator), p) - _valuation(int(x.denominator), p)
 
-    def _val(m: int) -> int:
-        v = 0
-        while m % p == 0:
-            m //= p
-            v += 1
-        return v
 
-    return _val(abs(int(x.numerator))) - _val(int(x.denominator))
+def min_p_valuation(nums: Iterable[int], den: int, p: int) -> int:
+    """The least p_valuation of the coefficients num/den of a canonical map.
+
+    0 for the empty map.  In canonical form gcd(den, *nums) == 1, so when p
+    divides den it divides some numerator not at all: that coefficient has
+    the least valuation, -v_p(den), and no numerator need be read.  So a
+    canonical map is p-integral exactly when den % p != 0.  Otherwise v_p(den)
+    is 0 and the minimum is the least v_p(num); a numerator prime to p ends
+    the scan.
+    """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if den % p == 0:
+        return -_valuation(den, p)
+    least = 0
+    for i, num in enumerate(nums):
+        v = _valuation(num, p)
+        if not i or v < least:
+            least = v
+        if not least:
+            break
+    return least
 
 
 @dataclass(frozen=True)
@@ -212,7 +241,7 @@ class LaurentPoly:
 
 
 class RationalRing:
-    """Adapter exposing exact rational (``Fraction``) arithmetic."""
+    """Adapter for exact rationals: ring elements are ``Fraction``s."""
 
     name = "Q"
 
@@ -232,48 +261,52 @@ class RationalRing:
         return x
 
     @staticmethod
-    def reduce(x):
-        return x
+    def split(a) -> tuple[int, int]:
+        """a as (numerator, denominator), in lowest terms with den > 0."""
+        return a.numerator, a.denominator
 
     @staticmethod
-    def clean(acc: dict) -> dict:
-        """An accumulated coefficient map with its zero entries dropped."""
-        return {k: v for k, v in acc.items() if v}
+    def element(num: int, den: int) -> Fraction:
+        """The coefficient num/den as a ring element."""
+        return Fraction(num, den)
 
     @staticmethod
-    def lift(terms: dict, scalar=None) -> tuple[dict, int]:
-        """scalar * terms as int numerators over one common denominator.
+    def canonical(sums: dict, den: int) -> tuple[dict, int]:
+        """Int sums over den > 0 in canonical form (see the module notes).
 
-        Kernels accumulate the numerators with int arithmetic, which is far
-        cheaper than Fraction arithmetic, and ``settle`` divides once per
-        output entry.
+        Zero sums are dropped, and one gcd over den and every numerator
+        decides whether an exact division is needed at all.
         """
-        s_num, s_den = (
-            (1, 1) if scalar is None else (scalar.numerator, scalar.denominator)
-        )
-        dens = {v.denominator for v in terms.values()}
-        den = lcm(*dens)
-        mult = {d: s_num * (den // d) for d in dens}
-        ints = {k: v.numerator * mult[v.denominator] for k, v in terms.items()}
-        return ints, den * s_den
-
-    @staticmethod
-    def settle(acc: dict, den: int) -> dict:
-        """An accumulated map of int numerators over den, zeros dropped."""
-        return {k: Fraction(v, den) for k, v in acc.items() if v}
+        nums = {k: v for k, v in sums.items() if v}
+        g = gcd(den, *nums.values())
+        if g > 1:
+            den //= g
+            nums = {k: v // g for k, v in nums.items()}
+        return nums, den
 
     @staticmethod
     def format(a) -> str:
-        if a.denominator == 1:
-            return str(a.numerator)
-        return f"{a.numerator}/{a.denominator}"
+        return RationalRing.format_ratio(a.numerator, a.denominator)
+
+    @staticmethod
+    def format_ratio(num: int, den: int) -> str:
+        """num/den (den > 0) in lowest terms, the denominator omitted if 1."""
+        g = gcd(num, den)
+        if g == den:
+            return str(num // g)
+        return f"{num // g}/{den // g}"
 
     @staticmethod
     def parse(s: str) -> Fraction:
+        return Fraction(*RationalRing.parse_ratio(s))
+
+    @staticmethod
+    def parse_ratio(s: str) -> tuple[int, int]:
         """Exactly the two forms ``format`` emits, "a" and "a/b" (b > 0).
 
         Plain int parsing, not Fraction's general regular-expression parser;
-        anything else, a zero denominator included, raises ValueError.
+        anything else, a zero denominator included, raises ValueError.  The
+        pair comes back in lowest terms.
         """
         if type(s) is not str:
             raise ValueError(f"rational coefficient must be a string, got {s!r}")
@@ -282,11 +315,13 @@ class RationalRing:
         if not (s.isascii() and digits.isdecimal() and (den.isdecimal() or not slash)):
             raise ValueError(f"not a rational coefficient: {s!r}")
         if not slash:
-            return Fraction(int(num))
+            return int(num), 1
         d = int(den)
         if not d:
             raise ValueError(f"zero denominator in {s!r}")
-        return Fraction(int(num), d)
+        a = int(num)
+        g = gcd(a, d)
+        return a // g, d // g
 
     def __repr__(self) -> str:
         return "RationalRing()"
@@ -310,29 +345,48 @@ class PrimeFieldRing:
         """Reduce a p-integral rational; NotPIntegral if p divides the denominator."""
         return _residue(x, self.p)  # p was checked once, in __init__
 
-    def reduce(self, x: int) -> int:
-        return x % self.p
+    @staticmethod
+    def split(a: int) -> tuple[int, int]:
+        """An int as (itself, 1); ``canonical`` reduces it."""
+        return a, 1
 
-    def clean(self, acc: dict) -> dict:
-        """An accumulated map of unreduced ints, reduced mod p, zeros dropped."""
+    @staticmethod
+    def element(num: int, den: int) -> int:
+        """The residue num of a canonical map (whose den is 1)."""
+        return num
+
+    def canonical(self, sums: dict, den: int) -> tuple[dict, int]:
+        """Int sums over den as residues over 1, zeros dropped.
+
+        den is 1 for the results of F_p's own kernels.  Any other den is the
+        denominator of a canonical rational map, which this reduces into
+        F_p: each numerator times den's inverse mod p.  When p divides den
+        some coefficient is not p-integral (see :func:`min_p_valuation`) and
+        NotPIntegral names the first one.
+        """
         p = self.p
-        return {k: r for k, v in acc.items() if (r := v % p)}
-
-    def lift(self, terms: dict, scalar=None) -> tuple[dict, int]:
-        """scalar * terms as ints over the denominator 1 (see RationalRing)."""
-        if scalar is None:
-            return terms, 1
-        return {k: v * scalar for k, v in terms.items()}, 1
-
-    def settle(self, acc: dict, den: int) -> dict:
-        """An accumulated map of unreduced ints (den is 1), as ``clean``."""
-        return self.clean(acc)
+        if den == 1:
+            return {k: r for k, v in sums.items() if (r := v % p)}, 1
+        if den % p == 0:
+            bad = next(
+                c for v in sums.values() if (c := Fraction(v, den)).denominator % p == 0
+            )
+            raise NotPIntegral(f"{bad} is not p-integral at p={p}")
+        inv = pow(den, -1, p)
+        return {k: r for k, v in sums.items() if (r := v * inv % p)}, 1
 
     def format(self, a: int) -> str:
         return str(a % self.p)
 
+    def format_ratio(self, num: int, den: int) -> str:
+        """The residue num of a canonical map (whose den is 1)."""
+        return str(num % self.p)
+
     def parse(self, s: str) -> int:
         return int(s) % self.p
+
+    def parse_ratio(self, s: str) -> tuple[int, int]:
+        return int(s) % self.p, 1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeFieldRing) and other.p == self.p

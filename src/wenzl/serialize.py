@@ -37,11 +37,13 @@ def morphism_to_dict(f: TLMorphism) -> dict[str, Any]:
     comparing lists of tuples (see ``tl.CrossinglessMatching``).  A
     matching's pair tuple is built on its first emission and kept, so
     emitting it again allocates no pairs; JSON prints the tuples as arrays.
+    Each coefficient is printed from its numerator and denominator, with
+    no ring element built.
     """
     ring = f.ring
-    fmt = ring.format
-    items = sorted(f.terms.items(), key=lambda t: t[0].partner)
-    terms = [{"pairs": list(m.pairs), "coeff": fmt(c)} for m, c in items]
+    fmt = ring.format_ratio
+    items = sorted(f.ratios(), key=lambda t: t[0].partner)
+    terms = [{"pairs": list(m.pairs), "coeff": fmt(a, d)} for m, a, d in items]
     return {"bottom": f.bottom, "top": f.top, "ring": ring.name, "terms": terms}
 
 
@@ -54,19 +56,16 @@ def morphism_from_dict(d: dict[str, Any]) -> TLMorphism:
         bottom, top = int(d["bottom"]), int(d["top"])
         if not (0 <= bottom <= MAX_ARITY and 0 <= top <= MAX_ARITY):
             raise ValueError(f"arity {bottom}->{top} outside 0..{MAX_ARITY}")
-        parse = ring.parse
-        terms = {}
+        parse = ring.parse_ratio
+        ratios = {}
         for t in d["terms"]:
             pairs = t["pairs"]
             if 2 * len(pairs) != bottom + top:  # before matching() sizes a table
                 raise ValueError(f"{len(pairs)} pairs for {bottom}+{top} points")
-            m = matching(bottom, top, pairs)
-            c = parse(t["coeff"])
-            if c:
-                terms[m] = c
+            ratios[matching(bottom, top, pairs)] = parse(t["coeff"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed morphism: {exc!r}") from exc
-    return TLMorphism(bottom, top, ring, terms)
+    return TLMorphism.from_ratios(bottom, top, ring, ratios)
 
 
 def morphism_to_json(f: TLMorphism, indent: int | None = None) -> str:

@@ -49,16 +49,28 @@ instead of padding and composing, and the Markov trace is its closure of all
 strands.  Only generators have their own kernel: e_i rewires two labels in
 place and needs no boundary walk.
 
+A morphism holds int numerators over one denominator ``den``, in the
+canonical form of rings.py: den > 0 is coprime to the numerators taken
+together and no numerator is zero (over F_p, den is 1 and the numerators are
+residues).  Equal morphisms in this form have equal (``terms``, ``den``).
+The kernels read and write those ints directly and canonicalise each result
+once (``ring.canonical``); only the public constructors take ring elements
+or (numerator, denominator) pairs, and only ``coefficient``,
+``identity_coefficient`` and ``items`` build ring elements.  A morphism made
+from rationals with unrelated denominators keeps lowest-terms pairs instead
+(see :class:`TLMorphism`).
+
 Checks that only ask whether something vanishes build no morphism: the
-generator-annihilation scans lift x to int numerators once and test the int
-sums of each rewiring.  The scans sum under the rewired int keys and look no
-matching up.
+generator-annihilation scans test the int sums of each rewiring of x's
+numerators.  The scans sum under the rewired int keys and look no matching
+up.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 import itertools
+from math import lcm
 from typing import Iterable
 
 from .rings import QQ
@@ -468,33 +480,74 @@ def enumerate_basis(n: int, m: int) -> tuple[CrossinglessMatching, ...]:
 class TLMorphism:
     """A sparse linear combination of crossingless matchings n -> m.
 
-    ``terms`` maps matchings to nonzero coefficients; the zero morphism has
-    an empty map.  Instances are treated as immutable values (`_top_kill` and
-    `_bot_kill` only memoize verified generator-annihilation bounds and never
-    change the value).
+    ``terms`` maps matchings to nonzero int numerators over the common
+    denominator ``den``, in canonical form (see the module notes); the zero
+    morphism has an empty map.  Every kernel result has this form, and the
+    kernels read it through :meth:`ints`.
+
+    The public constructors take ring elements, zeros and unreduced
+    residues allowed, and canonicalise them once.  When the denominators of
+    the given rationals are so unrelated that their lcm would outgrow the
+    largest of them many times over (random rationals: 1500 denominators
+    below 10**6 have an lcm of some 14 000 bits, and every numerator over
+    it as many), the morphism keeps each coefficient as its own lowest-terms
+    pair instead: ``terms`` holds the numerators, ``den`` is None and
+    ``_dens`` the denominators.  :meth:`ints` then puts them over the lcm
+    for the kernel that asks, and keeps nothing.  Serialization, equality
+    and the coefficient reads work on either form.
+
+    Read coefficients as ring elements with :meth:`coefficient` and
+    :meth:`items`.  Instances are treated as immutable values (`_top_kill`
+    and `_bot_kill` only memoize verified generator-annihilation bounds and
+    never change the value).
     """
 
-    __slots__ = ("bottom", "top", "ring", "terms", "_top_kill", "_bot_kill")
+    __slots__ = (
+        "bottom", "top", "ring", "terms", "den", "_dens", "_top_kill", "_bot_kill"
+    )
 
     def __init__(self, bottom: int, top: int, ring, terms: dict):
+        split = ring.split
+        ratios = {m: split(c) for m, c in terms.items()}
+        self._set(bottom, top, ring, *_canonical_of_ratios(ring, ratios))
+
+    def _set(self, bottom, top, ring, nums: dict, den, dens=None) -> None:
         self.bottom = bottom
         self.top = top
         self.ring = ring
-        self.terms = terms
+        self.terms = nums
+        self.den = den
+        self._dens = dens
         self._top_kill = 1
         self._bot_kill = 1
+
+    @classmethod
+    def _from_nums(cls, bottom, top, ring, nums: dict, den, dens=None) -> "TLMorphism":
+        """The kernels' constructor: nums over den, already canonical."""
+        x = cls.__new__(cls)
+        x._set(bottom, top, ring, nums, den, dens)
+        return x
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(bottom: int, top: int, ring=QQ) -> "TLMorphism":
-        return TLMorphism(bottom, top, ring, {})
+        return TLMorphism._from_nums(bottom, top, ring, {}, 1)
 
     @staticmethod
     def from_matching(m: CrossinglessMatching, ring=QQ, coeff=None) -> "TLMorphism":
-        c = ring.one if coeff is None else coeff
-        terms = {m: c} if c else {}
-        return TLMorphism(m.bottom, m.top, ring, terms)
+        num, den = (1, 1) if coeff is None else ring.split(coeff)
+        nums, den = ring.canonical({m: num}, den)
+        return TLMorphism._from_nums(m.bottom, m.top, ring, nums, den)
+
+    @staticmethod
+    def from_ratios(bottom: int, top: int, ring, ratios: dict) -> "TLMorphism":
+        """The morphism with coefficient num/den on each matching of
+        ``ratios``, a map to int pairs (num, den) in lowest terms with
+        den > 0; over F_p den is 1."""
+        return TLMorphism._from_nums(
+            bottom, top, ring, *_canonical_of_ratios(ring, ratios)
+        )
 
     @staticmethod
     def identity(n: int, ring=QQ) -> "TLMorphism":
@@ -502,24 +555,56 @@ class TLMorphism:
 
     # -- basic structure ----------------------------------------------------
 
+    def ints(self) -> tuple[dict, int]:
+        """The canonical int numerators and their common denominator."""
+        dens = self._dens
+        if dens is None:
+            return self.terms, self.den
+        distinct = set(dens.values())
+        den = lcm(*distinct)
+        mult = {d: den // d for d in distinct}
+        return {m: a * mult[dens[m]] for m, a in self.terms.items()}, den
+
+    def ratios(self):
+        """(matching, num, den) triples with coefficient num/den, den > 0
+        (not necessarily in lowest terms)."""
+        dens = self._dens
+        if dens is None:
+            den = self.den
+            return ((m, a, den) for m, a in self.terms.items())
+        return ((m, a, dens[m]) for m, a in self.terms.items())
+
     def is_zero(self) -> bool:
         return not self.terms
 
     def coefficient(self, m: CrossinglessMatching):
-        return self.terms.get(m, self.ring.zero)
+        den = self.den if self._dens is None else self._dens.get(m, 1)
+        return self.ring.element(self.terms.get(m, 0), den)
 
     def identity_coefficient(self):
         if self.bottom != self.top:
             raise ValueError("identity coefficient needs an endomorphism")
-        return self.terms.get(identity_matching(self.bottom), self.ring.zero)
+        return self.coefficient(identity_matching(self.bottom))
+
+    def items(self):
+        """(matching, coefficient) pairs, the coefficients as ring elements."""
+        element = self.ring.element
+        return ((m, element(a, d)) for m, a, d in self.ratios())
 
     def __eq__(self, other) -> bool:
-        return (
+        if not (
             isinstance(other, TLMorphism)
             and self.bottom == other.bottom
             and self.top == other.top
             and self.ring.name == other.ring.name
+        ):
+            return False
+        if (self._dens is None) != (other._dens is None):
+            return self.ints() == other.ints()
+        return (
+            self.den == other.den
             and self.terms == other.terms
+            and self._dens == other._dens
         )
 
     def __repr__(self) -> str:
@@ -532,26 +617,30 @@ class TLMorphism:
 
     def add(self, other: "TLMorphism") -> "TLMorphism":
         self._check_like(other)
-        reduce = self.ring.reduce
-        out = dict(self.terms)
+        (nums_a, a), (nums_b, b) = self.ints(), other.ints()
+        den = lcm(a, b)
+        out = dict(nums_a) if den == a else {
+            k: v * (den // a) for k, v in nums_a.items()
+        }
         get = out.get
-        # normalise only the touched entries: other is often much smaller
-        for k, c in other.terms.items():
-            prev = get(k)
-            s = reduce(c if prev is None else prev + c)
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return TLMorphism(self.bottom, self.top, self.ring, out)
+        mult = den // b
+        for k, v in nums_b.items():
+            out[k] = get(k, 0) + v * mult
+        return TLMorphism._from_nums(
+            self.bottom, self.top, self.ring, *self.ring.canonical(out, den)
+        )
 
     def sub(self, other: "TLMorphism") -> "TLMorphism":
         return self.add(other.scale(self.ring.from_int(-1)))
 
     def scale(self, c) -> "TLMorphism":
         ring = self.ring
-        out = ring.settle(*ring.lift(self.terms, c))
-        return TLMorphism(self.bottom, self.top, ring, out)
+        num, den = ring.split(c)
+        nums, x_den = self.ints()
+        out = {k: v * num for k, v in nums.items()}
+        return TLMorphism._from_nums(
+            self.bottom, self.top, ring, *ring.canonical(out, x_den * den)
+        )
 
     def _check_like(self, other: "TLMorphism") -> None:
         if (
@@ -570,21 +659,56 @@ class TLMorphism:
     def tensor(self, other: "TLMorphism") -> "TLMorphism":
         if self.ring.name != other.ring.name:
             raise ValueError("tensor needs a common coefficient ring")
+        (nums_a, a), (nums_b, b) = self.ints(), other.ints()
         out = {
             matching_tensor(ma, mb): ca * cb
-            for ma, ca in self.terms.items()
-            for mb, cb in other.terms.items()
+            for ma, ca in nums_a.items()
+            for mb, cb in nums_b.items()
         }
-        return TLMorphism(
+        return TLMorphism._from_nums(
             self.bottom + other.bottom, self.top + other.top, self.ring,
-            self.ring.clean(out),
+            *self.ring.canonical(out, a * b),
         )
 
     def flip(self) -> "TLMorphism":
-        out = {matching_flip(m): c for m, c in self.terms.items()}
-        res = TLMorphism(self.top, self.bottom, self.ring, out)
+        nums, den = self.ints()
+        out = {matching_flip(m): c for m, c in nums.items()}
+        res = TLMorphism._from_nums(self.top, self.bottom, self.ring, out, den)
         res._top_kill, res._bot_kill = self._bot_kill, self._top_kill
         return res
+
+
+def _canonical_of_ratios(ring, ratios: dict):
+    """(nums, den, dens) for a map to int pairs (num, den) in lowest terms,
+    den > 0 (over F_p, den is 1): canonical numerators over the lcm L of
+    the denominators and dens None, or, when L has more than twice the bits
+    of the largest denominator and 64 more, the nonzero pairs as two maps
+    and den None (see :class:`TLMorphism`).
+
+    Over Q the numerators over L are canonical already: a prime q dividing
+    L divides some den as often as L does, so q divides neither L/den nor
+    num, which is prime to den, hence not that numerator.  So no gcd over
+    the map is taken.
+    """
+    dens = {d for _, d in ratios.values()}
+    den = 1
+    if len(dens) > 1:
+        bound = 2 * max(dens).bit_length() + 64
+        for d in dens:
+            den = lcm(den, d)
+            if den.bit_length() > bound:
+                nonzero = {m: r for m, r in ratios.items() if r[0]}
+                return (
+                    {m: a for m, (a, _) in nonzero.items()},
+                    None,
+                    {m: d for m, (_, d) in nonzero.items()},
+                )
+    elif dens:
+        (den,) = dens
+    if den == 1:
+        return (*ring.canonical({m: a for m, (a, _) in ratios.items()}, 1), None)
+    mult = {d: den // d for d in dens}
+    return {m: a * mult[d] for m, (a, d) in ratios.items() if a}, den, None
 
 
 def _loop_powers(upto: int) -> list[int]:
@@ -607,16 +731,15 @@ def compose(g: TLMorphism, f: TLMorphism) -> TLMorphism:
     if f.ring.name != g.ring.name:
         raise ValueError("composition needs a common coefficient ring")
     ring = f.ring
-    f_ints, f_den = ring.lift(f.terms)
-    g_ints, g_den = ring.lift(g.terms)
+    (f_nums, f_den), (g_nums, g_den) = f.ints(), g.ints()
     pw = _loop_powers(f.top // 2)
     mc = matching_compose
     f_by_hi: dict = {}  # hi(f-term) -> [(lo(f-term), coefficient)]
-    for mf, c in f_ints.items():
+    for mf, c in f_nums.items():
         lo, hi = mf._halves or halves(mf)
         f_by_hi.setdefault(hi, []).append((lo, c))
     g_by_lo: dict = {}  # lo(g-term) -> [(hi(g-term), coefficient)]
-    for mg, c in g_ints.items():
+    for mg, c in g_nums.items():
         lo, hi = mg._halves or halves(mg)
         g_by_lo.setdefault(lo, []).append((hi, c))
     # cells[lo'][hi'] sums u * v for the loop-free join hi' o lo'.  A join
@@ -649,12 +772,16 @@ def compose(g: TLMorphism, f: TLMorphism) -> TLMorphism:
                     if v:
                         prev = get(hi)
                         row[hi] = u * v if prev is None else prev + u * v
+    # each row's sums are normalised before any join: a cell whose sum is
+    # zero in the ring is never joined
+    canonical = ring.canonical
     out: dict = {}
-    den = f_den * g_den
     for lo, row in cells.items():
-        for hi, c in ring.settle(row, den).items():
+        for hi, c in canonical(row, 1)[0].items():
             out[mc(hi, lo)[0]] = c
-    return TLMorphism(f.bottom, g.top, ring, out)
+    return TLMorphism._from_nums(
+        f.bottom, g.top, ring, *canonical(out, f_den * g_den)
+    )
 
 
 def apply_matching_left(
@@ -676,8 +803,9 @@ def tensor_with_identity(x: TLMorphism, m: int) -> TLMorphism:
     if m == 0:
         return x
     idm = identity_matching(m)
-    out = {matching_tensor(mm, idm): c for mm, c in x.terms.items()}
-    res = TLMorphism(x.bottom + m, x.top + m, x.ring, out)
+    nums, den = x.ints()
+    out = {matching_tensor(mm, idm): c for mm, c in nums.items()}
+    res = TLMorphism._from_nums(x.bottom + m, x.top + m, x.ring, out, den)
     res._top_kill = x._top_kill
     res._bot_kill = x._bot_kill
     return res
@@ -694,7 +822,8 @@ def partial_close_right(f: TLMorphism, m: int) -> TLMorphism:
 
     Each diagram is walked once with its top label n+t glued to its bottom
     label n-1-t for t < m: the walk joins the free ends and counts the closed
-    loops, the int sums are settled once, and nothing is padded or composed.
+    loops, the int sums are canonicalised once, and nothing is padded or
+    composed.
     """
     if m == 0:
         return f
@@ -702,7 +831,7 @@ def partial_close_right(f: TLMorphism, m: int) -> TLMorphism:
     if m > n or m > k:
         raise ValueError(f"cannot close {m} strands of {n}->{k}")
     ring = f.ring
-    ints, den = ring.lift(f.terms)
+    nums, den = f.ints()
     pw = _loop_powers(m)
     total = n + k
     glued_lo, glued_hi = n - m, n + m  # glued labels g pair with 2n-1-g
@@ -712,7 +841,7 @@ def partial_close_right(f: TLMorphism, m: int) -> TLMorphism:
     find = _INTERN.get
     out: dict = {}
     get = out.get
-    for mm, c in ints.items():
+    for mm, c in nums.items():
         pm = mm.partner
         seen = bytearray(total)
         res = [-1] * (total - shift)
@@ -748,7 +877,7 @@ def partial_close_right(f: TLMorphism, m: int) -> TLMorphism:
             c = c * pw[loops]
         prev = get(key)
         out[key] = c if prev is None else prev + c
-    return TLMorphism(n - m, k - m, ring, ring.settle(out, den))
+    return TLMorphism._from_nums(n - m, k - m, ring, *ring.canonical(out, den))
 
 
 def markov_trace(f: TLMorphism):
@@ -788,13 +917,17 @@ def apply_e_bottom(i: int, x: TLMorphism, scalar=None) -> TLMorphism:
 def _rewire(x: TLMorphism, la: int, lb: int, scalar) -> TLMorphism:
     """scalar * x with boundary labels la, lb joined by a generator arc."""
     ring = x.ring
-    ints, den = ring.lift(x.terms, scalar)
-    out = ring.settle(rewire_ints(ints, la, lb), den)
-    return TLMorphism(x.bottom, x.top, ring, out)
+    nums, den = x.ints()
+    out = rewire_ints(nums, la, lb)
+    if scalar is not None:
+        num, s_den = ring.split(scalar)
+        out = {k: v * num for k, v in out.items()}
+        den *= s_den
+    return TLMorphism._from_nums(x.bottom, x.top, ring, *ring.canonical(out, den))
 
 
 def rewire_ints(ints: dict, la: int, lb: int) -> dict:
-    """The int sums of a lifted coefficient map with labels la, lb joined.
+    """The int sums of a map of int coefficients with labels la, lb joined.
 
     The strands that ended at la and lb are spliced into one, and la, lb
     become partners; when they already were, a loop closes (-2).  Sums are
@@ -841,25 +974,23 @@ def rewire_ints(ints: dict, la: int, lb: int) -> dict:
 def first_unkilled(x: TLMorphism, start: int, stop: int, top: bool = True) -> int:
     """The first i in [start, stop) with e_i o x != 0 (x o e_i on the bottom).
 
-    Returns stop when every generator in the range kills x.  x is lifted to
-    int numerators once for the whole scan, and each e_i is tested on the
-    int sums of the rewiring (``ring.clean`` empties exactly on zero).  The
-    sums are keyed by the rewired uid, an int computed in O(1) from the
-    term's uid, so no matching is looked up or built and no morphism is
-    settled.
+    Returns stop when every generator in the range kills x.  Each e_i is
+    tested on the int sums of the rewiring of x's numerators
+    (``ring.canonical`` empties exactly on zero).  The sums are keyed by the
+    rewired uid, an int computed in O(1) from the term's uid, so no matching
+    is looked up or built and no morphism is made.
     """
     start = max(start, 1)
     if start >= stop:
         return stop
     ring = x.ring
-    # three flat lists, not a list of tuples, and no lifted dict kept
-    # through the scan: less peak memory
-    ints = ring.lift(x.terms)[0]
-    partners = [m.partner for m in ints]
-    uids = [m.uid for m in ints]
-    coeffs = list(ints.values())
-    del ints
-    clean = ring.clean
+    # three flat lists, not a list of tuples: less peak memory
+    nums = x.ints()[0]
+    partners = [m.partner for m in nums]
+    uids = [m.uid for m in nums]
+    coeffs = list(nums.values())
+    del nums
+    canonical = ring.canonical
     bit = _BIT
     edge = x.bottom + x.top  # top position i-1 has label edge-i
     for i in range(start, stop):
@@ -875,7 +1006,7 @@ def first_unkilled(x: TLMorphism, start: int, stop: int, top: bool = True) -> in
                 v = pm[lb]
                 uid = (uid | ab | bit[u] | bit[v]) ^ (close_ab | bit[u if u > v else v])
             sums[uid] = get(uid, 0) + c
-        if clean(sums):
+        if canonical(sums, 1)[0]:
             return i
     return stop
 

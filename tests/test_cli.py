@@ -12,9 +12,10 @@ import pytest
 import wenzl
 from wenzl import cli
 from wenzl.cli import main
-from wenzl.jw import JWVerificationError
+from wenzl.jw import JWVerificationError, jones_wenzl
 from wenzl.pjw import PJWIntegrityError
-from wenzl.tl import catalan
+from wenzl.rings import QQ
+from wenzl.tl import TLMorphism, catalan, e_matching, identity_matching
 
 
 def run(capsys, *argv):
@@ -36,6 +37,28 @@ def test_jw_text(capsys):
     code, out, _ = run(capsys, "jw", "--n", "1", "--format", "text")
     assert code == 0
     assert "1 term(s)" in out
+
+
+def test_jw_text_max_denominator_reads_each_coefficient(monkeypatch, capsys):
+    # 1/3 and 1/2 are stored over the one denominator 6, which no
+    # coefficient has: the line reports 3
+    x = TLMorphism(2, 2, QQ, {identity_matching(2): QQ.fraction(2, 6),
+                              e_matching(1, 2): QQ.fraction(3, 6)})
+    assert x.den == 6
+    monkeypatch.setattr(cli, "jones_wenzl", lambda *args: x)
+    code, out, _ = run(capsys, "jw", "--n", "2", "--format", "text")
+    assert code == 0
+    assert out.splitlines()[-1] == "max denominator: 3"
+
+
+@pytest.mark.parametrize("n", [2, 4, 7, 9])
+def test_jw_text_max_denominator_matches_fraction_oracle(capsys, n):
+    x = jones_wenzl(n)
+    nums, den = x.ints()
+    want = max(QQ.fraction(v, den).denominator for v in nums.values())
+    code, out, _ = run(capsys, "jw", "--n", str(n), "--format", "text")
+    assert code == 0
+    assert out.splitlines()[-1] == f"max denominator: {want}"
 
 
 def test_jw_undefined_over_f2(capsys):

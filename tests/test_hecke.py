@@ -160,7 +160,6 @@ def test_unique_index_set_by_sandwich_ranks(caches):
             first = images[0]
             probe = next(iter(first.terms))
             for other in images[1:]:
-                ratio = other.terms.get(probe)
-                assert ratio is not None, (p, n, j)
-                scale = ratio / first.terms[probe]
+                assert probe in other.terms, (p, n, j)
+                scale = other.coefficient(probe) / first.coefficient(probe)
                 assert other == first.scale(scale), (p, n, j)

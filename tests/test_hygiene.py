@@ -52,6 +52,40 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def fraction_uses(source: str) -> list[str]:
+    """Imports of ``fractions`` and calls named lift, settle or Fraction."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"import {a.name} (line {node.lineno})"
+                      for a in node.names if a.name.split(".")[0] == "fractions"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            found.append(f"from fractions (line {node.lineno})")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "attr", None) or getattr(func, "id", None)
+            if name in ("lift", "settle", "Fraction"):
+                found.append(f"{name}() (line {node.lineno})")
+    return found
+
+
+def test_scanner_flags_fraction_uses():
+    source = "from fractions import Fraction\nimport fractions\nx = ring.lift(t)\n"
+    source += "y = QQ.settle(a, 1)\nz = Fraction(1, 2)\nw = x.ints()\n"
+    assert fraction_uses(source) == [
+        "from fractions (line 1)", "import fractions (line 2)", "lift() (line 3)",
+        "settle() (line 4)", "Fraction() (line 5)",
+    ]
+
+
+@pytest.mark.parametrize("name", ["tl.py", "jw.py"])
+def test_kernels_keep_fractions_at_the_boundary(name):
+    # the kernels read and write int numerators over one denominator; only
+    # the coefficient readers build a ring element, through the ring adapter
+    path = Path(wenzl.__file__).parent / name
+    assert fraction_uses(path.read_text()) == []
+
+
 def _load_bench_tracer():
     spec = importlib.util.spec_from_file_location(
         "_bench_tracer", REPO / "bench" / "tracer.py"

@@ -13,7 +13,7 @@ from wenzl.pjw import (
     reduce_pjw,
     verify_battery,
 )
-from wenzl.rings import QQ, p_valuation
+from wenzl.rings import QQ, min_p_valuation, p_valuation
 from wenzl.tl import TLMorphism, compose, e_matching, identity_matching
 
 
@@ -132,7 +132,42 @@ def test_absorption_is_transitive_down_the_chain(caches):
 def test_p_integrality_despite_non_integral_lambdas(caches):
     dec = rational_pjw(10, 2, caches)
     assert dec.lambda_table[4] == Fraction(-5, 8)  # 2 in the denominator
-    assert min(p_valuation(c, 2) for c in dec.total.terms.values()) >= 0
+    assert min(p_valuation(c, 2) for _, c in dec.total.items()) >= 0
+
+
+def test_min_p_valuation_of_hand_built_morphisms():
+    # p divides den: some numerator is prime to p, and only den is read
+    e1, one = e_matching(1, 2), identity_matching(2)
+    for terms, p, want in [
+        ({one: Fraction(1, 4), e1: Fraction(3, 4)}, 2, -2),
+        ({one: Fraction(2, 3), e1: Fraction(4, 9)}, 3, -2),
+        ({one: Fraction(5, 6), e1: Fraction(1, 3)}, 2, -1),
+        ({one: Fraction(9), e1: Fraction(3, 2)}, 3, 1),
+    ]:
+        x = TLMorphism(2, 2, QQ, terms)
+        nums, den = x.ints()
+        assert (den % p == 0) == (want < 0)
+        assert min_p_valuation(nums.values(), den, p) == want
+        assert want == min(p_valuation(c, p) for c in terms.values())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_min_p_valuation_matches_each_coefficient(caches, p):
+    # the battery's p_integrality read, against the per-coefficient loop it
+    # replaced, on every map of every decomposition up to n = 9
+    for n in range(1, 10):
+        dec = rational_pjw(n, p, caches)
+        maps = [dec.total] + [
+            x for t in dec.terms.values() for x in (t.p_map, t.q_map, t.u)
+        ]
+        for x in maps:
+            want = min((p_valuation(c, p) for _, c in x.items()), default=0)
+            nums, den = x.ints()
+            assert min_p_valuation(nums.values(), den, p) == want
+        report = verify_battery(dec, caches)
+        detail = next(c.detail for c in report.checks if c.name == "p_integrality")
+        least = min(p_valuation(c, p) for _, c in dec.total.items())
+        assert detail == f"min valuation {least}"
 
 
 def test_reduce_values(caches):

@@ -1,6 +1,7 @@
 """Exact coefficient rings: valuations, reductions, field and ring laws."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from wenzl.rings import (
     NotPIntegral,
     PrimeFieldRing,
     QQ,
+    min_p_valuation,
     p_valuation,
     reduce_mod_p,
     ring_by_name,
@@ -38,6 +40,27 @@ def test_p_valuation_rejects_zero():
 @given(rationals, rationals, st.sampled_from([2, 3, 5, 7]))
 def test_p_valuation_additive(x, y, p):
     assert p_valuation(x * y, p) == p_valuation(x, p) + p_valuation(y, p)
+
+
+def test_min_p_valuation_reads_the_denominator():
+    # canonical maps: when p divides den, some numerator is prime to p
+    assert min_p_valuation([1, 3], 4, 2) == -2  # 1/4, 3/4
+    assert min_p_valuation([6, 4], 9, 3) == -2  # 2/3, 4/9
+    assert min_p_valuation([2, 5], 3, 3) == -1  # 2/3, 5/3
+    assert min_p_valuation([9, 3], 1, 3) == 1
+    assert min_p_valuation([10, 25], 3, 5) == 1  # 10/3, 25/3
+    assert min_p_valuation([], 1, 5) == 0
+    with pytest.raises(ValueError):
+        min_p_valuation([1], 1, 4)
+
+
+@given(st.dictionaries(st.integers(0, 9), rationals, min_size=1, max_size=8),
+       st.sampled_from([2, 3, 5, 7]))
+def test_min_p_valuation_matches_each_coefficient(terms, p):
+    den = lcm(*(v.denominator for v in terms.values()))
+    nums, den = QQ.canonical({k: int(v * den) for k, v in terms.items()}, den)
+    want = min(p_valuation(v, p) for v in terms.values())
+    assert min_p_valuation(nums.values(), den, p) == want
 
 
 @pytest.mark.parametrize(
@@ -123,30 +146,54 @@ def test_prime_field_ring_adapter():
     assert F.from_rational(Fraction(1, 2)) == 4
     with pytest.raises(NotPIntegral):
         F.from_rational(Fraction(1, 7))
-    assert F.reduce(-1) == 6
-    assert F.clean({"a": 7, "b": -5, "c": 3}) == {"b": 2, "c": 3}
+    assert F.split(-1) == (-1, 1)
+    assert F.element(6, 1) == 6
+    assert F.canonical({"a": 7, "b": -5, "c": 3}, 1) == ({"b": 2, "c": 3}, 1)
+    # a canonical rational map over den reduces through den's inverse
+    assert F.canonical({"a": 1, "b": 7, "c": 3}, 2) == ({"a": 4, "c": 5}, 1)
+    with pytest.raises(NotPIntegral, match="3/7 is not p-integral"):
+        F.canonical({"a": 14, "b": 3}, 7)
+    assert F.format_ratio(-1, 1) == "6" == F.format(-1)
+    assert F.parse_ratio("-1") == (6, 1)
 
 
 def test_rational_ring_adapter():
     x = QQ.fraction(2, 3)
     assert QQ.from_rational(x) is x
-    assert QQ.reduce(x) is x
-    assert QQ.clean({"a": QQ.zero, "b": x}) == {"b": x}
+    assert QQ.split(x) == (2, 3)
+    assert QQ.split(-4) == (-4, 1)
+    assert QQ.element(2, 3) == x
+    assert QQ.canonical({"a": 0, "b": 4, "c": -6}, 8) == ({"b": 2, "c": -3}, 4)
+    assert QQ.canonical({"a": 0}, 8) == ({}, 1)
+    assert QQ.format_ratio(4, 6) == "2/3" == QQ.format(x)
+    assert QQ.format_ratio(-6, 3) == "-2"
+    assert QQ.parse_ratio("-6/4") == (-3, 2)
 
 
 @given(st.dictionaries(st.integers(0, 9), rationals, max_size=8), rationals)
-def test_lift_settle_is_exact(terms, s):
-    """The kernels' int accumulation: lift, add ints, settle."""
-    ints, den = QQ.lift(terms)
-    assert all(type(v) is int for v in ints.values())
-    assert QQ.settle(ints, den) == terms
-    assert QQ.settle(*QQ.lift(terms, s)) == {k: v * s for k, v in terms.items()}
-    assert QQ.settle({0: sum(ints.values())}, den).get(0, QQ.zero) == sum(
-        terms.values(), Fraction(0)
-    )
+def test_canonical_form_is_exact(terms, s):
+    """Kernels accumulate int numerators over a denominator; ``canonical``
+    gives the same rationals in canonical form."""
+    den = 1
+    for v in terms.values():
+        den *= v.denominator  # a common denominator, seldom the least
+    sums = {k: int(v * den) for k, v in terms.items()}
+    nums, d = QQ.canonical(sums, den)
+    assert all(type(v) is int and v for v in nums.values())
+    assert d > 0 and gcd(d, *nums.values()) == 1
+    assert {k: Fraction(v, d) for k, v in nums.items()} == terms
+    # scaled by s through the numerators and the denominator
+    nums, d = QQ.canonical({k: v * s.numerator for k, v in sums.items()},
+                           den * s.denominator)
+    assert {k: QQ.element(v, d) for k, v in nums.items()} == {
+        k: v * s for k, v in terms.items()
+    }
+    total = sum(terms.values(), Fraction(0))
+    nums, d = QQ.canonical({0: sum(sums.values())}, den)
+    assert QQ.element(nums.get(0, 0), d) == total
     F = PrimeFieldRing(7)
-    assert F.settle(*F.lift({"a": 3, "b": 5, "c": 7}, 4)) == {"a": 5, "b": 6}
-    assert F.settle({"a": -1}, 1) == {"a": 6}
+    assert F.canonical({"a": 3 * 4, "b": 5 * 4, "c": 7 * 4}, 1) == ({"a": 5, "b": 6}, 1)
+    assert F.canonical({"a": -1}, 1) == ({"a": 6}, 1)
 
 
 @given(st.fractions(max_denominator=10**12))

@@ -47,7 +47,7 @@ def test_morphism_roundtrip_randomized(ring):
 def _emit_oracle(f):
     """The emitter as it was with stored pair tuples: terms sorted by pair list."""
     terms = []
-    for mm, c in f.terms.items():
+    for mm, c in f.items():
         p = mm.partner
         pairs = [(a, p[a]) for a in range(mm.bottom + mm.top) if p[a] > a]
         terms.append({"pairs": pairs, "coeff": f.ring.format(c)})

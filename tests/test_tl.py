@@ -1,15 +1,21 @@
 """Diagram engine: enumeration against a crossing oracle, category laws."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wenzl import tl
-from wenzl.jw import jones_wenzl
-from wenzl.rings import NonInvertible, PrimeFieldRing, QQ
+from wenzl import jw, tl
+from wenzl.jw import JWCache, apply_jw, jones_wenzl
+from wenzl.padic import is_prime
+from wenzl.pjw import Caches, rational_pjw, verify_battery
+from wenzl.rings import NonInvertible, NotPIntegral, PrimeFieldRing, QQ
+from wenzl.serialize import morphism_from_json, morphism_to_dict, morphism_to_json
 from wenzl.tl import (
     MAX_ARITY,
     CrossinglessMatching,
@@ -361,11 +367,11 @@ def _pairwise_compose(g, f):
     """g after f with one boundary walk per pair of terms."""
     ring = f.ring
     out = {}
-    for mf, cf in f.terms.items():
-        for mg, cg in g.terms.items():
+    for mf, cf in f.items():
+        for mg, cg in g.items():
             key, r = _matching_compose_walk(mg, mf)
             out[key] = out.get(key, 0) + cf * cg * (-2) ** r
-    return TLMorphism(f.bottom, g.top, ring, ring.clean(out))
+    return TLMorphism(f.bottom, g.top, ring, out)
 
 
 @pytest.mark.parametrize("n,m", [(0, 0), (0, 2), (2, 0), (3, 1), (4, 4), (5, 3), (6, 6)])
@@ -395,7 +401,7 @@ def morphisms(draw, n, m, ring):
         den = draw(st.sampled_from([1, 2, 3])) if ring is QQ else 1
         c = ring.fraction(num, den) if ring is QQ else ring.from_int(num)
         terms[mm] = terms.get(mm, ring.zero) + c
-    return TLMorphism(n, m, ring, ring.clean(terms))
+    return TLMorphism(n, m, ring, terms)
 
 
 @settings(max_examples=300, deadline=None)
@@ -482,11 +488,11 @@ def _rewire_oracle(ints, la, lb):
 def _scan_oracle(x, start, stop, top):
     """The per-generator scan on the spliced rewirings."""
     ring = x.ring
-    ints = ring.lift(x.terms)[0]
+    ints, den = _lift(ring, dict(x.items()))
     edge = x.bottom + x.top
     for i in range(max(start, 1), stop):
         la, lb = (edge - i, edge - i - 1) if top else (i - 1, i)
-        if ring.clean(_rewire_oracle(ints, la, lb)):
+        if _settle(ring, _rewire_oracle(ints, la, lb), den):
             return i
     return stop
 
@@ -540,8 +546,8 @@ def test_scan_matches_generator_application(x, data):
         assert first_unkilled(x, start, stop, top) == want
     # memo bounds through a sequence of scans, against the old per-generator
     # loop run on a copy with its own bounds
-    scanned = TLMorphism(x.bottom, x.top, x.ring, x.terms)
-    shadow = TLMorphism(x.bottom, x.top, x.ring, x.terms)
+    scanned = TLMorphism(x.bottom, x.top, x.ring, dict(x.items()))
+    shadow = TLMorphism(x.bottom, x.top, x.ring, dict(x.items()))
     for _ in range(3):
         top = data.draw(st.booleans())
         k = data.draw(st.integers(0, max(x.bottom, x.top) + 1))
@@ -555,8 +561,7 @@ def test_scan_matches_generator_application(x, data):
 @settings(max_examples=300, deadline=None)
 @given(scan_inputs(), st.data())
 def test_rewire_and_scan_match_splice_oracle(x, data):
-    ring = x.ring
-    ints = ring.lift(x.terms)[0]
+    ints = x.ints()[0]
     edge = x.bottom + x.top
     for top in (True, False):
         n = x.top if top else x.bottom
@@ -589,13 +594,13 @@ def integer_morphism(rng, n, m, max_terms=6):
         mm: QQ.from_int(rng.randint(-9, 9))
         for mm in rng.sample(basis, min(max_terms, len(basis)))
     }
-    return TLMorphism(n, m, QQ, QQ.clean(terms))
+    return TLMorphism(n, m, QQ, terms)
 
 
 def reduce_to(x, ring):
     """The coefficient-wise image over F_p of a morphism over Q."""
-    terms = {mm: ring.from_rational(c) for mm, c in x.terms.items()}
-    return TLMorphism(x.bottom, x.top, ring, ring.clean(terms))
+    terms = {mm: ring.from_rational(c) for mm, c in x.items()}
+    return TLMorphism(x.bottom, x.top, ring, terms)
 
 
 def test_fp_kernels_are_reductions_of_q_kernels():
@@ -670,7 +675,7 @@ def _markov_trace_oracle(f):
     ring = f.ring
     total = 2 * f.bottom
     acc = ring.zero
-    for mm, c in f.terms.items():
+    for mm, c in f.items():
         seen = [False] * total
         circles = 0
         for s in range(total):
@@ -684,7 +689,7 @@ def _markov_trace_oracle(f):
                 seen[y] = True
                 x = total - 1 - y
         acc = acc + c * (-2) ** circles
-    return ring.clean({0: acc}).get(0, ring.zero)
+    return acc if ring is QQ else ring.from_int(acc)
 
 
 @settings(max_examples=200, deadline=None)
@@ -740,3 +745,336 @@ def test_through_strand_count():
 def test_morphism_parity_zero_space():
     z = TLMorphism.zero(1, 2)
     assert compose(TLMorphism.zero(2, 3), z).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# Reference semantics: a morphism as a map of ring elements (Fractions over
+# Q, int residues over F_p), lifted to int numerators over one denominator
+# for each product and settled back into one ring element per entry.  The
+# engine kept morphisms this way before it kept them lifted; the kernels,
+# which now read and write numerators over one denominator, must agree with
+# it coefficient by coefficient.
+# ---------------------------------------------------------------------------
+
+
+def _lift(ring, terms, scalar=None):
+    """scalar * terms as int numerators over one common denominator."""
+    if ring is not QQ:
+        s = 1 if scalar is None else scalar
+        return {k: v * s for k, v in terms.items()}, 1
+    s_num, s_den = (1, 1) if scalar is None else (scalar.numerator, scalar.denominator)
+    dens = {v.denominator for v in terms.values()}
+    den = lcm(*dens)
+    mult = {d: s_num * (den // d) for d in dens}
+    ints = {k: v.numerator * mult[v.denominator] for k, v in terms.items()}
+    return ints, den * s_den
+
+
+def _settle(ring, acc, den):
+    """A map of int numerators over den as ring elements, zeros dropped."""
+    if ring is QQ:
+        return {k: Fraction(v, den) for k, v in acc.items() if v}
+    return {k: r for k, v in acc.items() if (r := v % ring.p)}
+
+
+@dataclass(frozen=True)
+class Ref:
+    bottom: int
+    top: int
+    ring: object
+    terms: dict  # matching -> nonzero ring element
+
+
+def ref_of(ring, n, m, raw):
+    return Ref(n, m, ring, _settle(ring, *_lift(ring, raw)))
+
+
+def ref_single(d, ring):
+    return Ref(d.bottom, d.top, ring, {d: ring.one})
+
+
+def ref_compose(g, f):
+    ring = f.ring
+    f_ints, f_den = _lift(ring, f.terms)
+    g_ints, g_den = _lift(ring, g.terms)
+    out = {}
+    for mf, cf in f_ints.items():
+        for mg, cg in g_ints.items():
+            key, r = _matching_compose_walk(mg, mf)
+            out[key] = out.get(key, 0) + cf * cg * (-2) ** r
+    return Ref(f.bottom, g.top, ring, _settle(ring, out, f_den * g_den))
+
+
+def ref_scale(a, c):
+    return Ref(a.bottom, a.top, a.ring, _settle(a.ring, *_lift(a.ring, a.terms, c)))
+
+
+def ref_add(a, b):
+    ring = a.ring
+    out = dict(a.terms)
+    for k, c in b.terms.items():
+        s = out.get(k, ring.zero) + c
+        out[k] = s if ring is QQ else s % ring.p
+    return Ref(a.bottom, a.top, ring, {k: v for k, v in out.items() if v})
+
+
+def ref_tensor(a, b):
+    ring = a.ring
+    out = {
+        matching_tensor(ma, mb): ca * cb
+        for ma, ca in a.terms.items()
+        for mb, cb in b.terms.items()
+    }
+    terms = _settle(ring, *_lift(ring, out))
+    return Ref(a.bottom + b.bottom, a.top + b.top, ring, terms)
+
+
+def ref_flip(a):
+    terms = {matching_flip(m): c for m, c in a.terms.items()}
+    return Ref(a.top, a.bottom, a.ring, terms)
+
+
+def ref_close(f, m):
+    """Pad with m strands, then cap them against the bottom and the top."""
+    ring = f.ring
+    padded = ref_tensor(f, ref_single(identity_matching(m), ring))
+    pre = ref_single(matching_flip(right_collapse_matching(f.bottom, m)), ring)
+    post = ref_single(right_collapse_matching(f.top, m), ring)
+    return ref_compose(post, ref_compose(padded, pre))
+
+
+def ref_trace(f):
+    return ref_close(f, f.bottom).terms.get(identity_matching(0), f.ring.zero)
+
+
+_REF_JW: dict = {}
+
+
+def ref_jw(k, ring):
+    """JW_k by the two-sided recursion over Q, reduced coefficient-wise into
+    F_p (NotPIntegral where it is undefined there)."""
+    if (k, ring.name) not in _REF_JW:
+        if ring is not QQ:
+            terms = {m: ring.from_rational(c) for m, c in ref_jw(k, QQ).terms.items()}
+            terms = {m: c for m, c in terms.items() if c}
+            _REF_JW[k, ring.name] = Ref(k, k, ring, terms)
+        elif k <= 1:
+            _REF_JW[k, ring.name] = ref_single(identity_matching(k), QQ)
+        else:
+            grown = ref_tensor(ref_jw(k - 1, QQ), ref_single(identity_matching(1), QQ))
+            e = ref_single(e_matching(k - 1, k), QQ)
+            middle = ref_compose(grown, ref_compose(e, grown))
+            scaled = ref_scale(middle, Fraction(k - 1, k))
+            _REF_JW[k, ring.name] = ref_add(grown, scaled)
+    return _REF_JW[k, ring.name]
+
+
+def assert_canonical(x):
+    """x holds canonical numerators over one denominator (or, made from
+    unrelated rationals, lowest-terms pairs)."""
+    nums, den = x.ints()
+    assert type(den) is int and den > 0
+    assert all(type(v) is int and v for v in nums.values())
+    assert gcd(den, *nums.values()) == 1
+    if x.ring is not QQ:
+        assert den == 1 and all(0 < v < x.ring.p for v in nums.values())
+    if x.den is None:  # the pair form: each pair in lowest terms
+        assert x.ring is QQ and set(x._dens) == set(x.terms)
+        dens = x._dens
+        assert all(dens[m] > 0 and gcd(a, dens[m]) == 1 for m, a in x.terms.items())
+    else:
+        assert (x.terms, x.den) == (nums, den)
+
+
+def assert_matches(x, ref, made_by_kernel=True):
+    assert (x.bottom, x.top, x.ring.name) == (ref.bottom, ref.top, ref.ring.name)
+    assert dict(x.items()) == ref.terms
+    assert all(x.coefficient(m) == c for m, c in ref.terms.items())
+    assert_canonical(x)
+    if made_by_kernel:
+        assert x.den is not None
+    assert x == TLMorphism(ref.bottom, ref.top, ref.ring, ref.terms)
+
+
+# Denominators near 10**9 whose lcm outgrows the bound of the pair form
+WILD_DENS = [1_000_000_007, 1_000_000_009, 998_244_353, 1_000_000_021,
+             1_000_000_033, 1_000_000_087, 1_000_000_093, 1_000_000_097]
+
+
+@st.composite
+def raw_maps(draw, n, m, ring, wild=False):
+    """A map of ring elements with zeros and, over F_p, unreduced residues."""
+    basis = enumerate_basis(n, m)
+    chosen = draw(st.lists(st.sampled_from(basis), max_size=8)) if basis else []
+    raw = {}
+    for mm in chosen:
+        num = draw(st.integers(-7, 7))
+        if ring is QQ:
+            dens = st.sampled_from(WILD_DENS) if wild else st.integers(1, 6)
+            raw[mm] = Fraction(num, draw(dens))
+        else:
+            raw[mm] = num
+    return raw
+
+
+def _shapes(data):
+    parity = data.draw(st.integers(0, 1))
+    arity = st.sampled_from([a for a in range(7) if a % 2 == parity])
+    return data.draw(arity), data.draw(arity), data.draw(arity)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kernels_match_fraction_reference(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    wild = ring is QQ and data.draw(st.booleans())
+    n, k, m = _shapes(data)
+    shapes = ((n, k), (n, k), (k, m))
+    raws = [data.draw(raw_maps(a, b, ring, wild)) for a, b in shapes]
+    f, h, g = (TLMorphism(a, b, ring, r) for (a, b), r in zip(shapes, raws))
+    rf, rh, rg = (ref_of(ring, a, b, r) for (a, b), r in zip(shapes, raws))
+    for x, ref in ((f, rf), (h, rh), (g, rg)):
+        assert_matches(x, ref, made_by_kernel=False)
+    s = data.draw(_scalars(ring))
+
+    assert_matches(compose(g, f), ref_compose(rg, rf))
+    assert_matches(f.add(h), ref_add(rf, rh))
+    assert_matches(f.sub(h), ref_add(rf, ref_scale(rh, ring.from_int(-1))))
+    assert_matches(f.scale(s), ref_scale(rf, s))
+    assert_matches(f.tensor(g), ref_tensor(rf, rg))
+    assert_matches(f.flip(), ref_flip(rf))
+    for closed in range(min(n, k) + 1):  # closing no strand returns f itself
+        want = ref_close(rf, closed)
+        assert_matches(partial_close_right(f, closed), want, closed > 0)
+    if n == k:
+        assert markov_trace(f) == ref_trace(rf)
+    for i in range(1, k):
+        e = ref_single(e_matching(i, k), ring)
+        assert_matches(apply_e_top(i, f, s), ref_scale(ref_compose(e, rf), s))
+    for i in range(1, n):
+        e = ref_single(e_matching(i, n), ring)
+        assert_matches(apply_e_bottom(i, f), ref_compose(rf, e))
+
+    # the JSON round trip, and each emitted coefficient against the reference
+    doc = morphism_to_dict(f)
+    coeffs = {matching(n, k, t["pairs"]): t["coeff"] for t in doc["terms"]}
+    assert coeffs == {mm: ring.format(c) for mm, c in rf.terms.items()}
+    back = morphism_from_json(morphism_to_json(f))
+    assert back == f
+    assert_matches(back, rf, made_by_kernel=False)
+
+
+def _apply_jw_against_reference(k, x, pad):
+    """apply_jw(k, x, pad) checked against the reference; the path taken."""
+    want = ref_compose(
+        ref_tensor(ref_jw(k, x.ring), ref_single(identity_matching(pad), x.ring)),
+        Ref(x.bottom, x.top, x.ring, dict(x.items())),
+    )
+    with mock.patch.object(jw, "_ladder", wraps=jw._ladder) as ladder:
+        got = apply_jw(k, x, pad=pad)
+    if got is x:
+        assert_matches(got, want, made_by_kernel=False)
+        return "identity"
+    assert_matches(got, want)
+    return "ladder" if ladder.called else "direct"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_apply_jw_matches_fraction_reference(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    kind = data.draw(st.sampled_from(["killed", "sparse", "dense"]))
+    k = data.draw(st.integers(2, 4))
+    pad = data.draw(st.integers(0, 1))
+    n = data.draw(st.sampled_from([a for a in range(6) if (a + k + pad) % 2 == 0]))
+    try:
+        ref_jw(k, ring)
+    except NotPIntegral:
+        with pytest.raises(NonInvertible):
+            jones_wenzl(k, ring)
+        return
+    if kind == "dense":  # every diagram: over Q the layered cost is the smaller
+        raw = {mm: ring.from_int(data.draw(st.integers(1, 5)))
+               for mm in enumerate_basis(n, k + pad)}
+    else:
+        raw = data.draw(raw_maps(n, k + pad, ring))
+    x = TLMorphism(n, k + pad, ring, raw)
+    if kind == "killed":
+        x = compose(tensor_with_identity(jones_wenzl(k, ring), pad), x)
+    path = _apply_jw_against_reference(k, x, pad)
+    if kind == "killed":
+        assert path == "identity"
+    elif ring is not QQ:  # a sparse x may still be killed, or zero
+        assert path != "ladder"
+
+
+@pytest.mark.parametrize(
+    "ring,k,n,path",
+    [(QQ, 3, 3, "identity"), (PrimeFieldRing(5), 4, 4, "direct"),
+     (QQ, 2, 2, "direct"), (QQ, 4, 4, "ladder"), (QQ, 3, 5, "ladder")],
+)
+def test_apply_jw_takes_each_path(ring, k, n, path):
+    if path == "identity":
+        x = jones_wenzl(k, ring)
+    else:
+        basis = enumerate_basis(n, k)
+        terms = {mm: ring.from_int(i + 2) for i, mm in enumerate(basis)}
+        x = TLMorphism(n, k, ring, terms)
+    assert _apply_jw_against_reference(k, x, 0) == path
+
+
+def test_constructors_canonicalise():
+    e1 = e_matching(1, 2)
+    F3 = PrimeFieldRing(3)
+    assert TLMorphism.from_matching(e1, F3, 3).is_zero()
+    assert TLMorphism(2, 2, F3, {e1: 4}) == TLMorphism(2, 2, F3, {e1: 1})
+    assert TLMorphism(2, 2, QQ, {e1: Fraction(0)}) == TLMorphism.zero(2, 2)
+    # one denominator for all, the gcd divided out
+    x = TLMorphism(2, 2, QQ, {e1: Fraction(1, 3), identity_matching(2): Fraction(1, 2)})
+    assert (x.terms, x.den) == ({e1: 2, identity_matching(2): 3}, 6)
+    # equal numerators over another denominator are another morphism
+    half = TLMorphism.from_matching(e1, QQ, Fraction(1, 2))
+    assert half.terms == TLMorphism.from_matching(e1).terms
+    assert half != TLMorphism.from_matching(e1)
+    assert half.scale(QQ.from_int(2)) == TLMorphism.from_matching(e1)
+
+
+def test_pair_form_for_unrelated_denominators():
+    assert all(is_prime(d) for d in WILD_DENS)
+    basis = enumerate_basis(4, 4)
+    terms = {mm: Fraction(j + 1, d) for j, (mm, d) in enumerate(zip(basis, WILD_DENS))}
+    x = TLMorphism(4, 4, QQ, terms)
+    assert x.den is None  # the lcm has some 240 bits, each denominator 30
+    assert dict(x.items()) == terms and len(x.terms) == len(terms)
+    assert_canonical(x)
+    same = x.scale(QQ.one)  # a kernel result: one denominator
+    assert same.den is not None and same == x and x == same
+    assert morphism_from_json(morphism_to_json(same)) == x
+    assert x.add(x.scale(QQ.from_int(-1))).is_zero()
+    doubled = TLMorphism(4, 4, QQ, {mm: 2 * c for mm, c in terms.items()})
+    assert doubled.den is None and doubled != x and x != doubled
+    assert doubled == x.scale(QQ.from_int(2)) != x
+    pairs = zip(basis, reversed(WILD_DENS))
+    swapped = TLMorphism(
+        4, 4, QQ, {mm: Fraction(j + 1, d) for j, (mm, d) in enumerate(pairs)}
+    )
+    assert swapped.terms == x.terms and swapped != x
+
+
+def test_battery_builds_only_canonical_morphisms(monkeypatch):
+    # every morphism that the p = 3 construction and battery build, from a
+    # cold projector cache, is in canonical form with one denominator
+    built = []
+    original = TLMorphism._set
+
+    def audited(self, *args):
+        original(self, *args)
+        assert self.den is not None
+        assert_canonical(self)
+        built.append(len(self.terms))
+
+    monkeypatch.setattr(TLMorphism, "_set", audited)
+    caches = Caches(jw=JWCache())
+    for n in range(1, 9):
+        assert verify_battery(rational_pjw(n, 3, caches), caches).ok
+    assert len(built) > 100 and max(built) == 1430  # JW_8 among them

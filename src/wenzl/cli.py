@@ -8,7 +8,9 @@ over the requested ring, 3 a verification or cache-integrity failure.
 Size bound: ``jw --n``, ``pjw --n`` and ``verify --max-n`` refuse any n whose
 Hom(n, n) has more than MAX_BASIS = catalan(12) = 208 012 diagrams, that is
 n >= 13, with exit 1 before anything is built.  JW_12 takes seconds and
-about 0.5 GB; each further strand multiplies both by about 3.6.
+about 0.5 GB; each further strand multiplies both by about 3.6.  A negative
+n and a p that is not prime are refused the same way, with an ``error:``
+line.
 
 Hecke bound: ``hecke --n`` and ``--to`` refuse any n above MAX_HECKE_N = 2047
 the same way.  ``lemma`` multiplies up through the gap to the father one
@@ -62,12 +64,19 @@ MAX_HECKE_N = 2047  # the largest hecke --n or --to (see the module notes)
 
 
 def _admit(n: int) -> None:
-    """Refuse an n beyond the size bound (see the module notes)."""
+    """Refuse a negative n, or one beyond the size bound (see the module notes)."""
+    if n < 0:
+        raise ValueError(f"n must be a natural number, got {n}")
     if n > MAX_N:  # catalan grows, so this is catalan(n) > MAX_BASIS
         raise ValueError(
             f"n = {n} is too large: Hom(n, n) would have more than "
             f"{MAX_BASIS} diagrams (n <= {MAX_N})"
         )
+
+
+def _check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
 
 
 def _parse_ring(spec: str):
@@ -124,9 +133,7 @@ def cmd_jw(args) -> int:
 
 def cmd_pjw(args) -> int:
     _admit(args.n)
-    if not is_prime(args.p):
-        print(f"p must be prime, got {args.p}", file=sys.stderr)
-        return EXIT_USAGE
+    _check_prime(args.p)
     dec = rational_pjw(args.n, args.p, GLOBAL_CACHES)
     if args.verify:
         report = verify_battery(dec, GLOBAL_CACHES)
@@ -163,9 +170,7 @@ def cmd_pjw(args) -> int:
 def cmd_verify(args) -> int:
     _admit(args.max_n)
     p = args.p
-    if not is_prime(p):
-        print(f"p must be prime, got {p}", file=sys.stderr)
-        return EXIT_USAGE
+    _check_prime(p)
     quick = args.depth == "quick"
     entries = []
     ok = True
@@ -263,9 +268,7 @@ def _fp_defined(n: int, p: int) -> bool:
 
 
 def cmd_hecke(args) -> int:
-    if not is_prime(args.p):
-        print(f"p must be prime, got {args.p}", file=sys.stderr)
-        return EXIT_USAGE
+    _check_prime(args.p)
     last = args.to or args.n
     if max(args.n, last) > MAX_HECKE_N:
         raise ValueError(

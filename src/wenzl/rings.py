@@ -14,13 +14,14 @@ numerators taken together, and no numerator is zero; over F_p the
 denominator is 1 and the numerators are residues in [1, p).  The kernels
 accumulate plain ints, and the adapter's ``canonical`` turns the int sums
 over a denominator back into that form, with one gcd over the whole map
-(over F_p, one reduction mod p).  ``split`` writes a ring element as
-(numerator, denominator) and ``element`` builds one back: a ``Fraction``
-exists only where a caller reads a coefficient.  ``format_ratio`` and
-``parse_ratio`` are the string forms of a (numerator, denominator) pair,
-so serialization builds no ring element either.  Over F_p ring elements are
-plain int residues; the FpElement class is the convenient value type for
-user-facing arithmetic.
+(over F_p, one reduction mod p); ``any_nonzero`` only asks whether int sums
+vanish in the ring, and stops at the first that does not.  ``split`` writes
+a ring element as (numerator, denominator) and ``element`` builds one back:
+a ``Fraction`` exists only where a caller reads a coefficient.
+``format_ratio`` and ``parse_ratio`` are the string forms of a (numerator,
+denominator) pair, so serialization builds no ring element either.  Over
+F_p ring elements are plain int residues; the FpElement class is the
+convenient value type for user-facing arithmetic.
 
 No floating point anywhere.
 """
@@ -285,6 +286,11 @@ class RationalRing:
         return nums, den
 
     @staticmethod
+    def any_nonzero(sums: Iterable[int]) -> bool:
+        """Whether some int sum is nonzero; stops at the first that is."""
+        return any(sums)
+
+    @staticmethod
     def format(a) -> str:
         return RationalRing.format_ratio(a.numerator, a.denominator)
 
@@ -374,6 +380,11 @@ class PrimeFieldRing:
             raise NotPIntegral(f"{bad} is not p-integral at p={p}")
         inv = pow(den, -1, p)
         return {k: r for k, v in sums.items() if (r := v * inv % p)}, 1
+
+    def any_nonzero(self, sums: Iterable[int]) -> bool:
+        """Whether some int sum is nonzero mod p; stops at the first that is."""
+        p = self.p
+        return any(v % p for v in sums)
 
     def format(self, a: int) -> str:
         return str(a % self.p)

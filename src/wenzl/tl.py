@@ -39,7 +39,12 @@ sees hi of f's terms and lo of g's terms, so :func:`compose` walks that
 boundary once per pair of distinct halves, not once per pair of terms.  The
 loop-free join hi' o lo' through s strands determines its halves, so the
 products are summed per cell (lo', hi') and each output matching is joined
-once.
+once.  The sum over the middle is reassociated: for each top half of f, the
+g-side is summed over every bottom half of g whose middle product mu has
+the same lo(mu), and one outer product is added per distinct lo(mu), not one
+per pair of halves.  Where mu is the identity on the middle strands (the top
+cell), every bottom half of g falls in one class, so the product is one with
+the Gram matrix of the cell module, taken in the cheap order.
 
 So :func:`compose` is the one product kernel: a product with a single
 diagram (:func:`apply_matching_left`, :func:`apply_matching_right`) is a
@@ -62,8 +67,8 @@ from rationals with unrelated denominators keeps lowest-terms pairs instead
 
 Checks that only ask whether something vanishes build no morphism: the
 generator-annihilation scans test the int sums of each rewiring of x's
-numerators.  The scans sum under the rewired int keys and look no matching
-up.
+numerators, up to the first sum that is nonzero in the ring.  The scans sum
+under the rewired int keys and look no matching up.
 """
 
 from __future__ import annotations
@@ -720,10 +725,12 @@ def compose(g: TLMorphism, f: TLMorphism) -> TLMorphism:
 
     Each term factors through its halves, so mg o mf is
     hi(mg) o [lo(mg) o hi(mf)] o lo(mf), and only the middle product mu can
-    close loops.  Terms are grouped by the half that meets the middle, mu is
-    walked once per pair of groups, and each group's coefficients are summed
-    onto lo' = lo(mu) o lo(mf) and hi' = hi(mg) o hi(mu).  The products are
-    summed by cell (lo', hi') over all pairs of groups, and each nonzero cell
+    close loops.  Terms are grouped by the half that meets the middle, and
+    mu is walked once per pair of groups.  For each f-group hf, g's
+    coefficients times (-2)^r are summed onto hi' = hi(mg) o hi(mu) in one
+    row per distinct lo(mu), over every g-group; then f's coefficients are
+    summed onto lo' = lo(mu) o lo(mf) once per nonzero row, and the outer
+    product of the two is added to the cells (lo', hi').  Each nonzero cell
     is joined into its output matching hi' o lo' exactly once.
     """
     if f.top != g.bottom:
@@ -748,30 +755,40 @@ def compose(g: TLMorphism, f: TLMorphism) -> TLMorphism:
     # in one output matching, and each cell is joined once, after summing.
     cells: dict = {}
     for hf, fs in f_by_hi.items():
+        # sums[lo(mu)][hi'] sums (-2)^r * v over every g-group lg whose
+        # product mu = lg o hf has that bottom half
+        sums: dict = {}
         for lg, gs in g_by_lo.items():
             mu, r = mc(lg, hf)  # the one boundary walk of this pair of halves
             mu_lo, mu_hi = mu._halves or halves(mu)
+            w = pw[r]
+            highs = sums.get(mu_lo)
+            if highs is None:
+                highs = sums[mu_lo] = {}
+            get = highs.get
+            for hi, v in gs:
+                key = mc(hi, mu_hi)[0]
+                prev = get(key)
+                highs[key] = w * v if prev is None else prev + w * v
+        # one outer product lows (x) highs per distinct lo(mu)
+        for mu_lo, highs in sums.items():
+            highs = [(hi, v) for hi, v in highs.items() if v]
+            if not highs:
+                continue
             lows: dict = {}
             for lo, c in fs:
                 key = mc(mu_lo, lo)[0]
                 lows[key] = lows.get(key, 0) + c
-            highs: dict = {}
-            for hi, c in gs:
-                key = mc(hi, mu_hi)[0]
-                highs[key] = highs.get(key, 0) + c
-            w = pw[r]
             for lo, u in lows.items():
                 if not u:
                     continue
-                u *= w
                 row = cells.get(lo)
                 if row is None:
                     row = cells[lo] = {}
                 get = row.get
-                for hi, v in highs.items():
-                    if v:
-                        prev = get(hi)
-                        row[hi] = u * v if prev is None else prev + u * v
+                for hi, v in highs:
+                    prev = get(hi)
+                    row[hi] = u * v if prev is None else prev + u * v
     # each row's sums are normalised before any join: a cell whose sum is
     # zero in the ring is never joined
     canonical = ring.canonical
@@ -975,10 +992,10 @@ def first_unkilled(x: TLMorphism, start: int, stop: int, top: bool = True) -> in
     """The first i in [start, stop) with e_i o x != 0 (x o e_i on the bottom).
 
     Returns stop when every generator in the range kills x.  Each e_i is
-    tested on the int sums of the rewiring of x's numerators
-    (``ring.canonical`` empties exactly on zero).  The sums are keyed by the
-    rewired uid, an int computed in O(1) from the term's uid, so no matching
-    is looked up or built and no morphism is made.
+    tested on the int sums of the rewiring of x's numerators, which
+    ``ring.any_nonzero`` reads up to the first nonzero one (mod p over F_p).
+    The sums are keyed by the rewired uid, an int computed in O(1) from the
+    term's uid, so no matching is looked up or built and no morphism is made.
     """
     start = max(start, 1)
     if start >= stop:
@@ -990,7 +1007,7 @@ def first_unkilled(x: TLMorphism, start: int, stop: int, top: bool = True) -> in
     uids = [m.uid for m in nums]
     coeffs = list(nums.values())
     del nums
-    canonical = ring.canonical
+    any_nonzero = ring.any_nonzero
     bit = _BIT
     edge = x.bottom + x.top  # top position i-1 has label edge-i
     for i in range(start, stop):
@@ -1006,7 +1023,7 @@ def first_unkilled(x: TLMorphism, start: int, stop: int, top: bool = True) -> in
                 v = pm[lb]
                 uid = (uid | ab | bit[u] | bit[v]) ^ (close_ab | bit[u if u > v else v])
             sums[uid] = get(uid, 0) + c
-        if canonical(sums, 1)[0]:
+        if any_nonzero(sums.values()):
             return i
     return stop
 

@@ -271,6 +271,22 @@ def test_internal_verification_failure_exit_3(monkeypatch, capsys, target, error
     assert "injected failure" in err
 
 
+def _assert_refused_quickly(argv, reason):
+    """A real process: exit 1 with one error line naming the reason, and no
+    output, well before anything could be built."""
+    env = dict(os.environ, PYTHONPATH=str(Path(wenzl.__file__).parents[1]))
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "wenzl.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert time.monotonic() - started < 20
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and reason in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_size_bound_admits_n_up_to_12():
     assert cli.MAX_N == 12
     assert catalan(12) <= cli.MAX_BASIS < catalan(13)
@@ -283,17 +299,7 @@ def test_size_bound_admits_n_up_to_12():
     ids=["jw", "pjw", "verify", "jw_13"],
 )
 def test_oversized_n_refused_quickly(argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(wenzl.__file__).parents[1]))
-    started = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-m", "wenzl.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert time.monotonic() - started < 20
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ") and "too large" in proc.stderr
-    assert proc.stdout == ""
+    _assert_refused_quickly(argv, "too large")
 
 
 def test_hecke_bound_admits_max_hecke_n(capsys):
@@ -313,14 +319,18 @@ def test_hecke_bound_admits_max_hecke_n(capsys):
 def test_oversized_hecke_n_refused_quickly(argv):
     # n = 2**39 + 2**38 - 1 has gap 2**38 to its father: unbounded, the
     # lemma would multiply that many times
-    env = dict(os.environ, PYTHONPATH=str(Path(wenzl.__file__).parents[1]))
-    started = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-m", "wenzl.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert time.monotonic() - started < 20
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ") and "too large" in proc.stderr
-    assert proc.stdout == ""
+    _assert_refused_quickly(argv, "too large")
+
+
+@pytest.mark.parametrize(
+    "argv,reason",
+    [(["verify", "--p", "3", "--max-n", "-2"], "natural number"),
+     (["jw", "--n", "-1"], "natural number"),
+     (["pjw", "--p", "4", "--n", "3"], "p must be prime"),
+     (["verify", "--p", "4", "--max-n", "3"], "p must be prime"),
+     (["hecke", "lemma", "--p", "4", "--n", "3"], "p must be prime")],
+    ids=["verify_negative_n", "jw_negative_n", "pjw_not_prime",
+         "verify_not_prime", "hecke_not_prime"],
+)
+def test_bad_n_or_p_refused(argv, reason):
+    _assert_refused_quickly(argv, reason)

@@ -170,6 +170,20 @@ def test_rational_ring_adapter():
     assert QQ.parse_ratio("-6/4") == (-3, 2)
 
 
+def test_any_nonzero_reads_sums_in_the_ring():
+    F = PrimeFieldRing(3)
+    assert not QQ.any_nonzero([]) and not QQ.any_nonzero([0, 0])
+    assert QQ.any_nonzero([0, 3]) and QQ.any_nonzero([-1])
+    assert not F.any_nonzero([3, -6, 0]) and F.any_nonzero([3, 4])
+
+    def sums():  # stops at the first nonzero sum
+        yield 0
+        yield 5
+        raise AssertionError("read past the first nonzero sum")
+
+    assert QQ.any_nonzero(sums()) and F.any_nonzero(sums())
+
+
 @given(st.dictionaries(st.integers(0, 9), rationals, max_size=8), rationals)
 def test_canonical_form_is_exact(terms, s):
     """Kernels accumulate int numerators over a denominator; ``canonical``

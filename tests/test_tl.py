@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from wenzl import jw, tl
 from wenzl.jw import JWCache, apply_jw, jones_wenzl
-from wenzl.padic import is_prime
-from wenzl.pjw import Caches, rational_pjw, verify_battery
+from wenzl.padic import is_prime, p_support
+from wenzl.pjw import Caches, rational_pjw, reduce_pjw, verify_battery
 from wenzl.rings import NonInvertible, NotPIntegral, PrimeFieldRing, QQ
 from wenzl.serialize import morphism_from_json, morphism_to_dict, morphism_to_json
 from wenzl.tl import (
@@ -374,6 +374,48 @@ def _pairwise_compose(g, f):
     return TLMorphism(f.bottom, g.top, ring, out)
 
 
+def _cell_compose(g, f):
+    """g after f with one outer product per pair of halves: the kernel
+    before its middle sum was reassociated by lo(mu)."""
+    ring = f.ring
+    (f_nums, f_den), (g_nums, g_den) = f.ints(), g.ints()
+    pw = tl._loop_powers(f.top // 2)
+    mc = tl.matching_compose
+    f_by_hi, g_by_lo = {}, {}
+    for mf, c in f_nums.items():
+        lo, hi = tl.halves(mf)
+        f_by_hi.setdefault(hi, []).append((lo, c))
+    for mg, c in g_nums.items():
+        lo, hi = tl.halves(mg)
+        g_by_lo.setdefault(lo, []).append((hi, c))
+    cells = {}
+    for hf, fs in f_by_hi.items():
+        for lg, gs in g_by_lo.items():
+            mu, r = mc(lg, hf)
+            mu_lo, mu_hi = tl.halves(mu)
+            lows, highs = {}, {}
+            for lo, c in fs:
+                key = mc(mu_lo, lo)[0]
+                lows[key] = lows.get(key, 0) + c
+            for hi, c in gs:
+                key = mc(hi, mu_hi)[0]
+                highs[key] = highs.get(key, 0) + c
+            for lo, u in lows.items():
+                if not u:
+                    continue
+                row = cells.setdefault(lo, {})
+                for hi, v in highs.items():
+                    if v:
+                        row[hi] = row.get(hi, 0) + u * pw[r] * v
+    out = {}
+    for lo, row in cells.items():
+        for hi, c in ring.canonical(row, 1)[0].items():
+            out[mc(hi, lo)[0]] = c
+    return TLMorphism._from_nums(
+        f.bottom, g.top, ring, *ring.canonical(out, f_den * g_den)
+    )
+
+
 @pytest.mark.parametrize("n,m", [(0, 0), (0, 2), (2, 0), (3, 1), (4, 4), (5, 3), (6, 6)])
 def test_halves_factor_each_matching(n, m):
     for x in enumerate_basis(n, m):
@@ -392,9 +434,9 @@ RINGS = [QQ, PrimeFieldRing(2), PrimeFieldRing(3), PrimeFieldRing(5)]
 
 
 @st.composite
-def morphisms(draw, n, m, ring):
+def morphisms(draw, n, m, ring, max_terms=8):
     basis = enumerate_basis(n, m)
-    chosen = draw(st.lists(st.sampled_from(basis), max_size=8)) if basis else []
+    chosen = draw(st.lists(st.sampled_from(basis), max_size=max_terms)) if basis else []
     terms = {}
     for mm in chosen:
         num = draw(st.sampled_from([-2, -1, 1, 2]))
@@ -411,9 +453,89 @@ def test_compose_matches_pairwise_oracle(data):
     parity = data.draw(st.integers(0, 1))
     arity = st.sampled_from([a for a in range(7) if a % 2 == parity])
     n, k, m = data.draw(arity), data.draw(arity), data.draw(arity)
-    f = data.draw(morphisms(n, k, ring))
-    g = data.draw(morphisms(k, m, ring))
+    # about 40 terms at arity 6 make several g-groups share a lo(mu)
+    size = data.draw(st.sampled_from([8, 40]))
+    f = data.draw(morphisms(n, k, ring, size))
+    g = data.draw(morphisms(k, m, ring, size))
     assert compose(g, f) == _pairwise_compose(g, f)
+
+
+def _battery_products():
+    """The products the battery checks with compose, by name: (g, f) pairs."""
+    cases = {}
+    for k in range(1, 8):
+        cases[f"jw{k}_squared"] = lambda k=k: [(jones_wenzl(k, QQ),) * 2]
+    for p in (2, 3, 5):
+        for n in range(1, 9):
+            def total(n=n, p=p):
+                t = rational_pjw(n, p).total
+                return [(t, t)]
+
+            def reduced(n=n, p=p):
+                t = reduce_pjw(rational_pjw(n, p))
+                return [(t, t)]
+
+            cases[f"total_squared_p{p}_n{n}"] = total
+            cases[f"reduced_squared_p{p}_n{n}"] = reduced
+        # the two largest n <= 8 with a father: several components each
+        mixed = [n for n in range(1, 9) if not p_support(n, p).is_adam][-2:]
+        for n in mixed:
+            def sandwiches(n=n, p=p):
+                items = sorted(rational_pjw(n, p).terms.items())
+                return [
+                    (ti.q_map, tj.q_map.flip())
+                    for a, (_, ti) in enumerate(items)
+                    for _, tj in items[a:]
+                ]
+
+            def absorption(n=n, p=p):
+                data = p_support(n, p)
+                total = rational_pjw(n, p).total
+                grown = tensor_with_identity(
+                    rational_pjw(data.father, p).total, data.gap
+                )
+                return [(total, grown), (grown, total)]
+
+            cases[f"sandwiches_p{p}_n{n}"] = sandwiches
+            cases[f"absorption_p{p}_n{n}"] = absorption
+    return cases
+
+
+BATTERY_PRODUCTS = _battery_products()
+
+
+def _counted(kernel, g, f):
+    """kernel(g, f) from a cold matching memo, with its matching_compose
+    calls and boundary walks counted."""
+    counts = {"calls": 0, "walks": 0}
+    mc, walk = tl.matching_compose, tl._matching_compose_walk
+
+    def counted_mc(a, b):
+        counts["calls"] += 1
+        return mc(a, b)
+
+    def counted_walk(a, b):
+        counts["walks"] += 1
+        return walk(a, b)
+
+    with mock.patch.object(tl, "_COMPOSE_MEMO", {}), \
+            mock.patch.object(tl, "_COMPOSE_LOOPS", {}), \
+            mock.patch.object(tl, "matching_compose", counted_mc), \
+            mock.patch.object(tl, "_matching_compose_walk", counted_walk):
+        out = kernel(g, f)
+    return out, counts
+
+
+@pytest.mark.parametrize("case", list(BATTERY_PRODUCTS))
+def test_compose_matches_cell_oracle(case):
+    # the same product with no more memo lookups and no more boundary walks
+    # than one outer product per pair of halves: a work count, not a timing
+    for g, f in BATTERY_PRODUCTS[case]():
+        new, new_counts = _counted(compose, g, f)
+        old, old_counts = _counted(_cell_compose, g, f)
+        assert new == old
+        assert new_counts["calls"] <= old_counts["calls"]
+        assert new_counts["walks"] <= old_counts["walks"]
 
 
 def _scalars(ring):

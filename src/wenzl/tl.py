@@ -762,17 +762,17 @@ def compose(g: TLMorphism, f: TLMorphism) -> TLMorphism:
             mu, r = mc(lg, hf)  # the one boundary walk of this pair of halves
             mu_lo, mu_hi = mu._halves or halves(mu)
             w = pw[r]
-            highs = sums.get(mu_lo)
-            if highs is None:
-                highs = sums[mu_lo] = {}
-            get = highs.get
+            row_sums = sums.get(mu_lo)
+            if row_sums is None:
+                row_sums = sums[mu_lo] = {}
+            get = row_sums.get
             for hi, v in gs:
                 key = mc(hi, mu_hi)[0]
                 prev = get(key)
-                highs[key] = w * v if prev is None else prev + w * v
+                row_sums[key] = w * v if prev is None else prev + w * v
         # one outer product lows (x) highs per distinct lo(mu)
-        for mu_lo, highs in sums.items():
-            highs = [(hi, v) for hi, v in highs.items() if v]
+        for mu_lo, row_sums in sums.items():
+            highs = [(hi, v) for hi, v in row_sums.items() if v]
             if not highs:
                 continue
             lows: dict = {}

@@ -25,11 +25,12 @@ bits, so its result key costs O(1).  All values are immutable; re-inserting
 an equal matching into the intern table is harmless, so the table tolerates
 concurrent use.
 
-A matching stores only its partner tuple, key and halves.  Its pair list,
-the serialized form, is derived from ``partner`` on first read: the engine
-never reads it, sorting by ``partner`` gives the pair-list order (see
-:class:`CrossinglessMatching`) and the through strands are read off the
-key.  So building and verifying projectors builds no pair tuple.
+A matching stores only its partner tuple, key and halves, and, once it has
+been serialized, its pair list as JSON text.  The pair list is derived from
+``partner``: the engine never reads it, sorting by ``partner`` gives the
+pair-list order (see :class:`CrossinglessMatching`) and the through strands
+are read off the key.  So building and verifying projectors builds neither
+pair tuples nor text.
 
 Composition runs through half-diagrams.  A matching x: n -> m with t through
 strands factors as x == hi(x) o lo(x), where lo(x): n -> t keeps the bottom
@@ -103,16 +104,21 @@ class CrossinglessMatching:
     are by identity.
 
     ``pairs``, the pairs as (min, max) sorted by min (the canonical
-    serialized form), is derived: it is built from ``partner`` on first read
-    and kept, like the halves.  The engine never reads it, so most interned
-    matchings never hold one.  Sorting by ``partner`` gives the same order
+    serialized form), is derived from ``partner`` on every read; rendering
+    and ``repr`` read it.  ``pairs_json`` is that list as ``json.dumps``
+    prints it, the text serialization splices into a document: it is built
+    on first read and kept, like the halves, so emitting a matching again
+    costs one slot read.  The engine reads neither, so most interned
+    matchings never hold text.  Sorting by ``partner`` gives the same order
     as sorting by ``pairs`` within a Hom space: where two planar pairings
     first differ, at label x, both open an arc (had x closed to y < x in
     one, the other would agree that ``partner[y] == x``), so the pair lists
     first differ at (x, mate) with the same sign.
     """
 
-    __slots__ = ("bottom", "top", "partner", "uid", "_halves", "_pairs", "__weakref__")
+    __slots__ = (
+        "bottom", "top", "partner", "uid", "_halves", "_pairs_json", "__weakref__"
+    )
 
     def __init__(self, bottom: int, top: int, partner: tuple[int, ...], uid: int):
         self.bottom = bottom
@@ -120,16 +126,20 @@ class CrossinglessMatching:
         self.partner = partner
         self.uid = uid
         self._halves = None
-        self._pairs = None
+        self._pairs_json = None
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        p = self._pairs
-        if p is None:
-            p = self._pairs = tuple(
-                (a, b) for a, b in enumerate(self.partner) if b > a
-            )
-        return p
+        return tuple((a, b) for a, b in enumerate(self.partner) if b > a)
+
+    @property
+    def pairs_json(self) -> str:
+        t = self._pairs_json
+        if t is None:
+            t = self._pairs_json = "[" + ", ".join(
+                [f"[{a}, {b}]" for a, b in enumerate(self.partner) if b > a]
+            ) + "]"
+        return t
 
     def __repr__(self) -> str:
         return f"Matching({self.bottom}->{self.top}; {list(self.pairs)})"

@@ -1,6 +1,6 @@
 """Source hygiene: every name a module imports is read somewhere in it,
-every function the bench tracer wraps by name still exists, and the engine's
-hot paths build no pair tuple."""
+every function the bench tracer wraps by name still exists, the emitter
+never reads pair tuples, and the engine's hot paths build no pair text."""
 
 import ast
 import importlib.util
@@ -108,25 +108,52 @@ def test_bench_tracer_targets_resolve():
         assert len(getattr(tl, name)) >= 0
 
 
+def attribute_reads(source: str, attr: str) -> list[int]:
+    """Lines that read ``<expr>.attr``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == attr
+        and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_scanner_flags_attribute_reads():
+    source = "a = m.pairs\nb = m.pairs_json\nc = d['pairs']\nm.pairs = 1\nf(x.pairs)\n"
+    assert attribute_reads(source, "pairs") == [1, 5]
+
+
+def test_serializer_reads_no_pair_tuples():
+    # the emitter splices each matching's kept pair text; a read of the
+    # tuple would build one per term again
+    path = Path(wenzl.__file__).parent / "serialize.py"
+    assert attribute_reads(path.read_text(), "pairs") == []
+
+
 _HOT_PATHS = """
 from wenzl import jw, pjw, tl
+built = []
+pairs = tl.CrossinglessMatching.pairs.fget
+tl.CrossinglessMatching.pairs = property(lambda m: built.append(m) or pairs(m))
 jw.jones_wenzl(9)
 for n in range(1, 10):
     assert pjw.verify_battery(pjw.rational_pjw(n, 3)).ok
-print(len(tl._INTERN), sum(m._pairs is not None for m in tl._INTERN.values()))
+with_text = sum(m._pairs_json is not None for m in tl._INTERN.values())
+print(len(tl._INTERN), len(built), with_text)
 """
 
 
 def test_hot_paths_build_no_pair_tuples():
-    # pairs are derived for serialization and rendering only: building
-    # projectors and running the battery must never read them.  A fresh
-    # process, so the intern table holds only what these paths made.
+    # pair tuples and pair text are derived for rendering and serialization
+    # only: building projectors and running the battery must read neither.
+    # A fresh process, so the intern table holds only what these paths made.
     env = dict(os.environ, PYTHONPATH=str(Path(wenzl.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", _HOT_PATHS],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    interned, with_pairs = map(int, proc.stdout.split())
+    interned, tuples_built, with_text = map(int, proc.stdout.split())
     assert interned > 1000
-    assert with_pairs == 0
+    assert tuples_built == 0
+    assert with_text == 0

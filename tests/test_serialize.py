@@ -1,15 +1,17 @@
 """Round-trip exactness of the JSON forms."""
 
+import gc
 import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wenzl.hecke import HeckeElement
 from wenzl.rings import LaurentPoly, PrimeFieldRing, QQ
 from wenzl.serialize import (
     decomposition_to_dict,
+    decomposition_to_json,
     hecke_from_json,
     hecke_to_json,
     morphism_from_dict,
@@ -44,37 +46,108 @@ def test_morphism_roundtrip_randomized(ring):
         assert morphism_from_json(morphism_to_json(f)) == f
 
 
-def _emit_oracle(f):
-    """The emitter as it was with stored pair tuples: terms sorted by pair list."""
+def _morphism_oracle(f):
+    """The emitter's document tree as it was with stored pair tuples: terms
+    sorted by pair list, each coefficient a ring element printed by the ring."""
     terms = []
     for mm, c in f.items():
         p = mm.partner
         pairs = [(a, p[a]) for a in range(mm.bottom + mm.top) if p[a] > a]
         terms.append({"pairs": pairs, "coeff": f.ring.format(c)})
     terms.sort(key=lambda t: t["pairs"])
-    return json.dumps({"bottom": f.bottom, "top": f.top, "ring": f.ring.name, "terms": terms})
+    return {"bottom": f.bottom, "top": f.top, "ring": f.ring.name, "terms": terms}
+
+
+def _emit_oracle(f, indent=None):
+    return json.dumps(_morphism_oracle(f), indent=indent)
+
+
+def _decomposition_oracle(dec, indent=None):
+    """The decomposition emitter as it was: one dict tree, dumped once."""
+    terms = [
+        {
+            "i": i,
+            "lambda": QQ.format(dec.terms[i].lam),
+            "p_map": _morphism_oracle(dec.terms[i].p_map),
+            "u": _morphism_oracle(dec.terms[i].u),
+        }
+        for i in sorted(dec.terms)
+    ]
+    doc = {"n": dec.n, "p": dec.prime, "terms": terms, "total": _morphism_oracle(dec.total)}
+    return json.dumps(doc, indent=indent)
 
 
 _RINGS = [QQ, PrimeFieldRing(2), PrimeFieldRing(3), PrimeFieldRing(5)]
+_HOMS = [(n, m) for n in range(9) for m in range(9 - n) if (n + m) % 2 == 0]
+# Denominators near 2**30 whose lcm outgrows the bound of the pair form
+_WIDE = st.integers(2**29, 2**30)
+
+
+@st.composite
+def _morphisms(draw):
+    ring = draw(st.sampled_from(_RINGS))
+    basis = enumerate_basis(*draw(st.sampled_from(_HOMS)))
+    chosen = draw(st.lists(st.sampled_from(basis), max_size=40, unique=True))
+    dens = draw(st.sampled_from([st.integers(1, 30), _WIDE]))
+    terms = {}
+    for mm in chosen:
+        num = draw(st.integers(-50, 50))
+        c = QQ.fraction(num, draw(dens)) if ring is QQ else ring.from_int(num)
+        if c:
+            terms[mm] = c
+    return TLMorphism(basis[0].bottom, basis[0].top, ring, terms)
+
+
+def _pair_form_example():
+    rng = random.Random(3)
+    basis = enumerate_basis(4, 4)
+    terms = {mm: QQ.fraction(rng.randint(1, 99), rng.randint(2**29, 2**30)) for mm in basis}
+    f = TLMorphism(4, 4, QQ, terms)
+    assert f.den is None  # the lcm of 14 such denominators has some 400 bits
+    return f
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    ring=st.sampled_from(_RINGS),
-    nm=st.sampled_from([(n, m) for n in range(9) for m in range(9 - n) if (n + m) % 2 == 0]),
-    data=st.data(),
+@given(f=_morphisms(), indent=st.sampled_from([None, 1, 2]))
+@example(f=_pair_form_example(), indent=None)
+@example(f=_pair_form_example(), indent=2)
+def test_emission_matches_pair_list_oracle(f, indent):
+    assert morphism_to_json(f, indent=indent) == _emit_oracle(f, indent)
+    assert morphism_to_dict(f) == json.loads(_emit_oracle(f))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_decomposition_emission_matches_oracle(p, caches):
+    from wenzl.pjw import rational_pjw
+
+    for n in range(1, 10):
+        dec = rational_pjw(n, p, caches)
+        assert decomposition_to_json(dec) == _decomposition_oracle(dec)
+        assert decomposition_to_json(dec, indent=2) == _decomposition_oracle(dec, 2)
+        assert decomposition_to_dict(dec) == json.loads(_decomposition_oracle(dec))
+
+
+def test_parsed_forms_leave_the_collector_as_found():
+    f = TLMorphism.identity(3)
+    assert gc.isenabled()
+    morphism_to_dict(f)
+    morphism_to_json(f, indent=2)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        morphism_to_dict(f)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "n,m", [(n, m) for n in range(13) for m in range(13 - n) if (n + m) % 2 == 0]
 )
-def test_emission_matches_pair_list_oracle(ring, nm, data):
-    basis = enumerate_basis(*nm)
-    chosen = data.draw(st.lists(st.sampled_from(basis), max_size=40, unique=True))
-    terms = {}
-    for mm in chosen:
-        num = data.draw(st.integers(-50, 50))
-        c = QQ.fraction(num, data.draw(st.integers(1, 30))) if ring is QQ else ring.from_int(num)
-        if c:
-            terms[mm] = c
-    f = TLMorphism(*nm, ring, terms)
-    assert morphism_to_json(f) == _emit_oracle(f)
+def test_pair_text_is_json_of_pair_list(n, m):
+    for mm in enumerate_basis(n, m):
+        p = mm.partner
+        assert mm.pairs_json == json.dumps([[a, p[a]] for a in range(n + m) if p[a] > a])
 
 
 def test_schema_shape():

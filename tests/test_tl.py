@@ -97,7 +97,7 @@ def test_derived_pairs_and_strands_match_stored_oracle(n, m):
     for mm in enumerate_basis(n, m):
         want = _pairs_oracle(mm)
         assert mm.pairs == want
-        assert mm.pairs is mm.pairs  # built once, then kept
+        assert mm.pairs_json is mm.pairs_json  # text built once, then kept
         assert mm.through_strands() == sum(1 for a, b in want if a < n <= b)
 
 

@@ -2,7 +2,7 @@
 
 Values are stored as the canonical JSON next to a manifest of sha256
 digests.  Loading re-checks the digest and then re-runs the quick defining
-checks (generator annihilation and identity coefficient for projectors; the
+checks (``jw.is_jones_wenzl`` for projectors, as at insertion; the
 identity coefficient, closure value, and p-integrality, or the field's prime
 over F_p, for decomposition totals), so a corrupted or tampered file
 surfaces as CacheIntegrityError rather than as wrong math.  Trust, but
@@ -27,14 +27,14 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
+from .jw import is_jones_wenzl
 from .padic import p_support
 from .rings import QQ, min_p_valuation
 from .serialize import morphism_from_json, morphism_to_json
-from .tl import TLMorphism, bottom_killed_upto, markov_trace, top_killed_upto
+from .tl import TLMorphism, markov_trace
 
 ENV_CACHE_DIR = "WENZL_CACHE_DIR"
 
@@ -172,12 +172,7 @@ class DiskCache:
         if value.bottom != n or value.top != n or value.ring.name != ring_name:
             raise CacheIntegrityError(f"wrong shape in {name}")
         if kind == "jw":
-            ok = (
-                value.identity_coefficient() == value.ring.one
-                and top_killed_upto(value, n)
-                and bottom_killed_upto(value, n)
-            )
-            if not ok:
+            if not is_jones_wenzl(value, n):
                 raise CacheIntegrityError(f"defining checks failed for {name}")
         elif kind == "pjw":
             ring = value.ring
@@ -190,7 +185,7 @@ class DiskCache:
             ok = (
                 integral
                 and value.identity_coefficient() == ring.one
-                and markov_trace(value) == ring.from_rational(Fraction(closure))
+                and markov_trace(value) == ring.from_int(closure)
             )
             if not ok:
                 raise CacheIntegrityError(f"defining checks failed for {name}")

@@ -35,7 +35,7 @@ from .jw import (
     jones_wenzl,
     sandwich_test,
 )
-from .padic import is_prime, lucas_jw_defined, p_support, support_via_admissible
+from .padic import lucas_jw_defined, p_support, require_prime, support_via_admissible
 from .pjw import (
     GLOBAL_CACHES,
     PJWIntegrityError,
@@ -72,11 +72,6 @@ def _admit(n: int) -> None:
             f"n = {n} is too large: Hom(n, n) would have more than "
             f"{MAX_BASIS} diagrams (n <= {MAX_N})"
         )
-
-
-def _check_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
 
 
 def _parse_ring(spec: str):
@@ -133,7 +128,7 @@ def cmd_jw(args) -> int:
 
 def cmd_pjw(args) -> int:
     _admit(args.n)
-    _check_prime(args.p)
+    require_prime(args.p)
     dec = rational_pjw(args.n, args.p, GLOBAL_CACHES)
     if args.verify:
         report = verify_battery(dec, GLOBAL_CACHES)
@@ -170,7 +165,7 @@ def cmd_pjw(args) -> int:
 def cmd_verify(args) -> int:
     _admit(args.max_n)
     p = args.p
-    _check_prime(p)
+    require_prime(p)
     quick = args.depth == "quick"
     entries = []
     ok = True
@@ -268,7 +263,7 @@ def _fp_defined(n: int, p: int) -> bool:
 
 
 def cmd_hecke(args) -> int:
-    _check_prime(args.p)
+    require_prime(args.p)
     last = args.to or args.n
     if max(args.n, last) > MAX_HECKE_N:
         raise ValueError(

@@ -56,12 +56,22 @@ class JWVerificationError(RuntimeError):
     """A freshly computed projector failed its defining checks (a bug)."""
 
 
+def is_jones_wenzl(x: TLMorphism, n: int) -> bool:
+    """The defining checks of JW_n: identity coefficient 1 (the cheapest,
+    so first), then e_i o x == 0 and x o e_i == 0 for every 1 <= i < n."""
+    return (
+        x.identity_coefficient() == x.ring.one
+        and top_killed_upto(x, n)
+        and bottom_killed_upto(x, n)
+    )
+
+
 class JWCache:
     """Memoized projectors keyed by (ring name, n).
 
-    Every value passes the generator-annihilation and identity-coefficient
-    checks before insertion.  Re-inserting an equal value is harmless, so
-    concurrent readers and writers only ever see verified entries.
+    Every value passes :func:`is_jones_wenzl` before insertion.
+    Re-inserting an equal value is harmless, so concurrent readers and
+    writers only ever see verified entries.
     """
 
     def __init__(self):
@@ -71,11 +81,7 @@ class JWCache:
         return self._store.get((ring.name, n))
 
     def insert(self, ring, n: int, value: TLMorphism) -> TLMorphism:
-        if not (
-            top_killed_upto(value, n)
-            and bottom_killed_upto(value, n)
-            and value.identity_coefficient() == ring.one
-        ):
+        if not is_jones_wenzl(value, n):
             raise JWVerificationError(f"JW_{n} over {ring.name} failed verification")
         return self._store.setdefault((ring.name, n), value)
 

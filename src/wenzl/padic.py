@@ -64,7 +64,8 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _require_prime(p: int) -> None:
+def require_prime(p: int) -> None:
+    """ValueError unless p is prime: the check behind every prime argument."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
 
@@ -86,7 +87,7 @@ class PAdicExpansion:
 
 def p_adic_expansion(n: int, p: int) -> PAdicExpansion:
     """Base-p digits of n, little-endian, no trailing zero digits."""
-    _require_prime(p)
+    require_prime(p)
     if n < 0:
         raise ValueError("n must be a natural number")
     digits = []
@@ -122,7 +123,7 @@ def p_support(n: int, p: int) -> PSupportData:
     digit.  The father zeroes the lowest nonzero digit of n+1 and subtracts
     one; it exists iff n+1 has at least two nonzero digits.
     """
-    _require_prime(p)
+    require_prime(p)
     if n < 1:
         raise ValueError("p_support requires n >= 1")
     digits = p_adic_expansion(n + 1, p).digits
@@ -184,7 +185,7 @@ def admissible_expansion(n: int, p: int) -> AdmissibleExpansion:
     satisfies the admissibility bounds.  Uniqueness is exercised by the
     brute-force search in the test suite.
     """
-    _require_prime(p)
+    require_prime(p)
     if n < 0:
         raise ValueError("n must be a natural number")
     a = p_adic_expansion(n + 1, p).digits
@@ -221,7 +222,7 @@ def lucas_jw_defined(n: int, p: int) -> bool:
     non-leading digit below p-1.  Equivalent to n+1 having a single nonzero
     base-p digit (n = j*p^i - 1 with 0 < j < p), i.e. n = 0 or n a p-Adam.
     """
-    _require_prime(p)
+    require_prime(p)
     if n < 0:
         raise ValueError("n must be a natural number")
     digits = p_adic_expansion(n, p).digits

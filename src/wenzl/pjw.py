@@ -29,13 +29,17 @@ composition, "certified" when the term count makes that product infeasible
 (Catalan-squared) and the identity is instead forced by verified smaller
 facts -- generator-annihilation scans, trace evaluations, scalar arithmetic
 -- combined through lemmas that the test suite exercises directly on small
-instances.
+instances.  One local step, ``decide``, makes that choice for every budgeted
+check: it composes directly while the pairwise-product cost fits the budget
+(DIRECT_BUDGET_Q, or DIRECT_BUDGET_FP for the reduction) and otherwise runs
+the certificate, which cites earlier checks of the same battery by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from typing import Optional
 
 from .padic import p_adic_expansion, p_support
@@ -201,18 +205,16 @@ def rational_pjw(
         # plus child: tensor m fresh strands onto the parent composite
         plus_i = i + m
         p_plus = tensor_with_identity(parent.q_map, m)
-        sig_plus = ("+", m, parent.sig)
-        q_plus = caches.q_by_sig.get(sig_plus)
-        if q_plus is None:
-            if parent.sig == ("jw", i) and absorbs_certificate(p_plus):
-                # top branch: JW_{i+m} absorbs JW_i (x) id_m entirely
-                q_plus = jones_wenzl(plus_i, QQ, caches.jw)
-                sig_plus = ("jw", plus_i)
-            else:
-                q_plus = apply_jw(plus_i, p_plus, caches.jw)
-            caches.q_by_sig[sig_plus] = q_plus
-        elif parent.sig == ("jw", i):
+        if parent.sig == ("jw", i) and absorbs_certificate(p_plus):
+            # top branch: JW_{i+m} absorbs JW_i (x) id_m entirely
             sig_plus = ("jw", plus_i)
+            q_plus = jones_wenzl(plus_i, QQ, caches.jw)
+        else:
+            sig_plus = ("+", m, parent.sig)
+            q_plus = caches.q_by_sig.get(sig_plus)
+            if q_plus is None:
+                q_plus = apply_jw(plus_i, p_plus, caches.jw)
+                caches.q_by_sig[sig_plus] = q_plus
         term_plus = PJWTerm(
             i=plus_i,
             lam=parent.lam,
@@ -321,12 +323,6 @@ class BatteryReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _fresh_top_kill(x: TLMorphism, k: int) -> bool:
-    """Recompute e_j o x == 0 for all j < k, ignoring memoized bounds."""
-    stop = min(k, x.top)
-    return first_unkilled(x, 1, stop) == stop
-
-
 def _recompute_lambda_table(n: int, p: int) -> dict[int, Fraction]:
     """The scalar table straight from the digit recursion, no diagrams."""
     data = p_support(n, p)
@@ -339,6 +335,14 @@ def _recompute_lambda_table(n: int, p: int) -> dict[int, Fraction]:
         out[i + m] = lam
         out[i - m] = Fraction((-1) ** m * (i + 1 - m), i + 1) * lam
     return out
+
+
+def _sandwich(ti: PJWTerm, tj: PJWTerm, jw_cache: JWCache) -> bool:
+    """q_i o flip(q_j) == delta_ij (1/lambda_i) JW_i, by brute composition."""
+    mm = compose(ti.q_map, tj.q_map.flip())
+    if ti.i == tj.i:
+        return mm == jones_wenzl(ti.i, QQ, jw_cache).scale(1 / ti.lam)
+    return mm.is_zero()
 
 
 def verify_battery(
@@ -356,9 +360,19 @@ def verify_battery(
 
     n, p = dec.n, dec.prime
     checks: list[CheckResult] = []
+    passed: dict[str, bool] = {}  # check names are unique within a battery
 
-    def add(name: str, passed: bool, mode: str, detail: str = ""):
-        checks.append(CheckResult(name, n, p, bool(passed), mode, detail))
+    def add(name: str, ok, mode: str, detail: str = ""):
+        passed[name] = bool(ok)
+        checks.append(CheckResult(name, n, p, passed[name], mode, detail))
+
+    def decide(name, cost, direct, certify, why, budget=DIRECT_BUDGET_Q):
+        """Check name by direct() within budget, else by certify(), citing
+        the passed checks; both thunks run before decide returns."""
+        if cost <= budget:
+            add(name, direct(), "direct")
+        else:
+            add(name, certify(), "certified", why)
 
     data = p_support(n, p)
     jw_cache = caches.jw
@@ -409,141 +423,95 @@ def verify_battery(
         )
 
     # per-component generator annihilation (fresh scans; projectors were
-    # already scanned at cache insertion)
-    for i, t in sorted(dec.terms.items()):
+    # already scanned at cache insertion; q_map has top i)
+    items = sorted(dec.terms.items())
+    for i, t in items:
         if t.q_map is jw_cache.get(QQ, i):
             add(f"head_annihilation[{i}]", True, "direct", "scanned at insertion")
         else:
-            add(f"head_annihilation[{i}]", _fresh_top_kill(t.q_map, i), "direct")
+            killed = first_unkilled(t.q_map, 1, i) == i
+            add(f"head_annihilation[{i}]", killed, "direct")
 
     # component traces pin the sandwich scalars
-    for i, t in sorted(dec.terms.items()):
+    for i, t in items:
         expected = Fraction((-1) ** i * (i + 1)) / t.lam
         trace = markov_trace(t.u)
         add(f"component_trace[{i}]", trace == expected, "direct", f"trace {trace}")
 
-    # sandwich facts: q_i o flip(q_j) = delta_ij (1/lambda_i) JW_i
-    items = sorted(dec.terms.items())
-    for ai, (i, ti) in enumerate(items):
-        for j, tj in items[ai:]:
-            cost = len(ti.q_map.terms) * len(tj.q_map.terms)
-            name = f"sandwich[{i},{j}]"
-            if cost <= DIRECT_BUDGET_Q:
-                mm = compose(ti.q_map, tj.q_map.flip())
-                if i == j:
-                    want = jones_wenzl(i, QQ, jw_cache).scale(1 / ti.lam)
-                    add(name, mm == want, "direct")
-                else:
-                    add(name, mm.is_zero(), "direct")
-            else:
-                # two-sided annihilation classifies the product: zero in
-                # mixed arity, a multiple of the projector on the diagonal,
-                # with the multiple pinned by the trace check above.
-                ok = bool(
-                    checks_pass(checks, f"head_annihilation[{i}]")
-                    and checks_pass(checks, f"head_annihilation[{j}]")
-                )
-                if i == j:
-                    ok = ok and checks_pass(checks, f"component_trace[{i}]")
-                add(name, ok, "certified", "kill-classification + trace")
+    # sandwich facts: q_i o flip(q_j) = delta_ij (1/lambda_i) JW_i.  Above the
+    # budget, two-sided annihilation classifies the product: zero in mixed
+    # arity, a multiple of the projector on the diagonal, with the multiple
+    # pinned by the trace check above.
+    for (i, ti), (j, tj) in combinations_with_replacement(items, 2):
+        decide(
+            f"sandwich[{i},{j}]",
+            len(ti.q_map.terms) * len(tj.q_map.terms),
+            lambda: _sandwich(ti, tj, jw_cache),
+            lambda: passed[f"head_annihilation[{i}]"]
+            and passed[f"head_annihilation[{j}]"]
+            and (i != j or passed[f"component_trace[{i}]"]),
+            "kill-classification + trace",
+        )
 
     # component idempotence and orthogonality
     scaled = [(i, t.u.scale(t.lam)) for i, t in items]  # lambda_i u_i, once each
-    for ai, (i, ui) in enumerate(scaled):
-        for j, uj in scaled[ai:]:
-            cost = len(ui.terms) * len(uj.terms)
-            if i == j:
-                name = f"component_idempotent[{i}]"
-                if cost <= DIRECT_BUDGET_Q:
-                    add(name, compose(ui, ui) == ui, "direct")
-                else:
-                    add(
-                        name,
-                        checks_pass(checks, f"sandwich[{i},{i}]"),
-                        "certified",
-                        "follows from the diagonal sandwich",
-                    )
-            else:
-                name = f"orthogonal[{i},{j}]"
-                if cost <= DIRECT_BUDGET_Q:
-                    add(
-                        name,
-                        compose(ui, uj).is_zero() and compose(uj, ui).is_zero(),
-                        "direct",
-                    )
-                else:
-                    add(
-                        name,
-                        checks_pass(checks, f"sandwich[{i},{j}]"),
-                        "certified",
-                        "follows from the mixed sandwich",
-                    )
+    for (i, ui), (j, uj) in combinations_with_replacement(scaled, 2):
+        cost = len(ui.terms) * len(uj.terms)
+        if i == j:
+            decide(
+                f"component_idempotent[{i}]",
+                cost,
+                lambda: compose(ui, ui) == ui,
+                lambda: passed[f"sandwich[{i},{i}]"],
+                "follows from the diagonal sandwich",
+            )
+        else:
+            decide(
+                f"orthogonal[{i},{j}]",
+                cost,
+                lambda: compose(ui, uj).is_zero() and compose(uj, ui).is_zero(),
+                lambda: passed[f"sandwich[{i},{j}]"],
+                "follows from the mixed sandwich",
+            )
 
     # idempotence of the total
-    cost = len(dec.total.terms) ** 2
-    if cost <= DIRECT_BUDGET_Q:
-        add("total_idempotent", compose(dec.total, dec.total) == dec.total, "direct")
-    else:
-        ok = all(
-            checks_pass(checks, f"component_idempotent[{i}]") for i, _ in items
-        ) and all(
-            checks_pass(checks, f"orthogonal[{i},{j}]")
-            for ai, (i, _) in enumerate(items)
-            for j, _ in items[ai + 1 :]
-        )
-        add(
-            "total_idempotent",
-            ok,
-            "certified",
-            "sum of orthogonal idempotents",
-        )
+    index = [i for i, _ in items]
+    decide(
+        "total_idempotent",
+        len(dec.total.terms) ** 2,
+        lambda: compose(dec.total, dec.total) == dec.total,
+        lambda: all(passed[f"component_idempotent[{i}]"] for i in index)
+        and all(passed[f"orthogonal[{i},{j}]"] for i, j in combinations(index, 2)),
+        "sum of orthogonal idempotents",
+    )
 
     # absorption against the father level
     if not data.is_adam:
         fdec = rational_pjw(data.father, p, caches)
         freport = verify_battery(fdec, caches)
         grown = tensor_with_identity(fdec.total, data.gap)
-        cost = len(dec.total.terms) * len(grown.terms)
-        if cost <= DIRECT_BUDGET_Q:
-            add(
-                "absorption",
-                compose(dec.total, grown) == dec.total
-                and compose(grown, dec.total) == dec.total,
-                "direct",
-            )
-        else:
-            ok = freport.ok and all(
-                checks_pass(checks, f"head_annihilation[{i}]") for i, _ in items
-            )
-            add(
-                "absorption",
-                ok,
-                "certified",
-                "father battery + head annihilation + scalar recursion",
-            )
+        decide(
+            "absorption",
+            len(dec.total.terms) * len(grown.terms),
+            lambda: compose(dec.total, grown) == dec.total
+            and compose(grown, dec.total) == dec.total,
+            lambda: freport.ok
+            and all(passed[f"head_annihilation[{i}]"] for i in index),
+            "father battery + head annihilation + scalar recursion",
+        )
 
     # reduction to F_p
     reduced = reduce_pjw(dec)
-    cost = len(reduced.terms) ** 2
-    if cost <= DIRECT_BUDGET_FP:
-        add(
-            "reduction_idempotent",
-            compose(reduced, reduced) == reduced,
-            "direct",
-        )
-    else:
-        add(
-            "reduction_idempotent",
-            checks_pass(checks, "total_idempotent")
-            and checks_pass(checks, "p_integrality"),
-            "certified",
-            "reduction of integral coefficients is a ring map",
-        )
+    decide(
+        "reduction_idempotent",
+        len(reduced.terms) ** 2,
+        lambda: compose(reduced, reduced) == reduced,
+        lambda: passed["total_idempotent"] and passed["p_integrality"],
+        "reduction of integral coefficients is a ring map",
+        DIRECT_BUDGET_FP,
+    )
 
     report = BatteryReport(n, p, checks)
     caches.reports[(p, n)] = report
     return report
 
-
-def checks_pass(checks: list[CheckResult], name: str) -> bool:
-    return any(c.name == name and c.passed for c in checks)

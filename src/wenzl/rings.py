@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Union
 
-from .padic import is_prime
+from .padic import require_prime
 
 
 class NotPIntegral(ArithmeticError):
@@ -55,8 +55,7 @@ def _valuation(m: int, p: int) -> int:
 
 def p_valuation(x, p: int) -> int:
     """The exponent v with x = p**v * (unit in Z localized at p); x != 0."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    require_prime(p)
     if isinstance(x, int):
         x = Fraction(x)
     if x == 0:
@@ -74,8 +73,7 @@ def min_p_valuation(nums: Iterable[int], den: int, p: int) -> int:
     is 0 and the minimum is the least v_p(num); a numerator prime to p ends
     the scan.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    require_prime(p)
     if den % p == 0:
         return -_valuation(den, p)
     least = 0
@@ -131,8 +129,7 @@ def reduce_mod_p(x: Union[Fraction, int], p: int) -> FpElement:
 
     Defined exactly when p does not divide b; otherwise NotPIntegral.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    require_prime(p)
     return FpElement(p, _residue(x, p))
 
 
@@ -337,8 +334,7 @@ class PrimeFieldRing:
     """Adapter for F_p with coefficients stored as plain int residues."""
 
     def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
+        require_prime(p)
         self.p = p
         self.name = f"Fp:{p}"
         self.zero = 0

@@ -112,7 +112,7 @@ def morphism_to_json(f: TLMorphism, indent: int | None = None) -> str:
 
 
 def morphism_from_json(s: str) -> TLMorphism:
-    return morphism_from_dict(json.loads(s))
+    return morphism_from_dict(_parsed(s))
 
 
 def _decomposition_text(dec) -> str:

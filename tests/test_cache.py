@@ -12,6 +12,8 @@ import wenzl
 from wenzl import cache as cache_module
 from wenzl.cache import CacheIntegrityError, DiskCache
 from wenzl.pjw import rational_pjw, reduce_pjw
+from wenzl.rings import QQ
+from wenzl.tl import TLMorphism
 
 
 @pytest.fixture
@@ -32,6 +34,16 @@ def test_tampered_fp_pjw_refused(tmp_path, reduced, p, scale):
     cache.store_morphism("pjw", p, 7, reduced.scale(reduced.ring.from_int(scale)))
     with pytest.raises(CacheIntegrityError, match="defining checks"):
         cache.load_morphism("pjw", "Fp:3", p, 7)
+
+
+@pytest.mark.parametrize("value", [TLMorphism.identity(3), TLMorphism.zero(3, 3)])
+def test_tampered_jw_refused(tmp_path, value):
+    # the identity has identity coefficient 1 but e_1 does not kill it; the
+    # zero map is killed by every generator but has identity coefficient 0
+    cache = DiskCache(tmp_path)
+    cache.store_morphism("jw", 0, 3, value)
+    with pytest.raises(CacheIntegrityError, match="defining checks"):
+        cache.load_morphism("jw", QQ.name, 0, 3)
 
 
 def test_malformed_entry_refused(tmp_path, reduced):

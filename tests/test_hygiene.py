@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is read somewhere in it,
 every function the bench tracer wraps by name still exists, the emitter
-never reads pair tuples, and the engine's hot paths build no pair text."""
+never reads pair tuples, the engine's hot paths build no pair text, and the
+battery's direct/certified budgets are read by its one decide step."""
 
 import ast
 import importlib.util
@@ -157,3 +158,54 @@ def test_hot_paths_build_no_pair_tuples():
     assert interned > 1000
     assert tuples_built == 0
     assert with_text == 0
+
+
+def budget_reads(source: str) -> dict[str, list[str]]:
+    """Where each DIRECT_BUDGET_* name is read: "decide" for a default of a
+    function named decide or an argument of a call to decide, else "elsewhere"."""
+    tree = ast.parse(source)
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "decide":
+            for d in node.args.defaults + node.args.kw_defaults:
+                if d is not None:
+                    inside.update(id(n) for n in ast.walk(d))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "decide":
+            for a in node.args + [k.value for k in node.keywords]:
+                inside.update(id(n) for n in ast.walk(a))
+    reads: dict[str, list[str]] = {}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)
+            and node.id.startswith("DIRECT_BUDGET")
+        ):
+            where = "decide" if id(node) in inside else "elsewhere"
+            reads.setdefault(node.id, []).append(where)
+    return reads
+
+
+def test_scanner_flags_budget_reads():
+    source = (
+        "def decide(c, budget=DIRECT_BUDGET_Q):\n    return c <= budget\n"
+        "decide(1, DIRECT_BUDGET_FP)\nif c <= DIRECT_BUDGET_Q:\n    pass\n"
+    )
+    assert budget_reads(source) == {
+        "DIRECT_BUDGET_Q": ["decide", "elsewhere"],
+        "DIRECT_BUDGET_FP": ["decide"],
+    }
+
+
+def test_budgets_are_read_once_by_the_battery_step():
+    # every budgeted battery check goes through pjw.verify_battery's decide
+    # step; a check with its own ``if cost <= DIRECT_BUDGET_*`` fails here
+    reads: dict[str, list[str]] = {}
+    for path in MODULES:
+        for name, where in budget_reads(path.read_text()).items():
+            reads.setdefault(name, []).extend(where)
+    assert reads == {"DIRECT_BUDGET_Q": ["decide"], "DIRECT_BUDGET_FP": ["decide"]}
+    tree = ast.parse((Path(wenzl.__file__).parent / "pjw.py").read_text())
+    steps = [
+        n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "decide"
+    ]
+    assert len(steps) == 1

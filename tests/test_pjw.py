@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from wenzl import pjw
 from wenzl.jw import jones_wenzl
 from wenzl.padic import p_support
 from wenzl.pjw import (
+    Caches,
     expected_markov_closure,
     markov_closure,
     rational_pjw,
@@ -109,7 +111,6 @@ def test_absorption_small_direct(caches):
 def test_absorption_is_transitive_down_the_chain(caches):
     # the top level absorbs the grandfather level, not only its own father
     from wenzl.padic import father_chain
-    from wenzl.pjw import checks_pass
     from wenzl.tl import tensor_with_identity
 
     # p=2, chain 6 -> 5 -> 3: checked directly against the grandfather
@@ -126,7 +127,7 @@ def test_absorption_is_transitive_down_the_chain(caches):
     assert father_chain(12, 3) == [12, 11, 8]
     for n in (12, 11):
         report = verify_battery(rational_pjw(n, 3, caches), caches)
-        assert checks_pass(report.checks, "absorption"), n
+        assert any(c.name == "absorption" and c.passed for c in report.checks), n
 
 
 def test_p_integrality_despite_non_integral_lambdas(caches):
@@ -227,3 +228,53 @@ def test_total_support_not_maximal(caches):
     # the 12-strand 2-projector happens to be much sparser than TL_12
     d2 = rational_pjw(12, 2, caches)
     assert len(d2.total.terms) < 208012
+
+
+# the checks verify_battery decides by budget: direct within it, else certified
+BUDGETED = (
+    "sandwich[",
+    "component_idempotent[",
+    "orthogonal[",
+    "total_idempotent",
+    "absorption",
+    "reduction_idempotent",
+)
+
+
+@pytest.mark.parametrize("budget,mode", [(0, "certified"), (10**12, "direct")])
+def test_each_budgeted_check_decides_both_ways(monkeypatch, caches, budget, mode):
+    cases = [(p, n) for p in (2, 3, 5) for n in range(1, 9)]
+    default = {
+        (p, n): verify_battery(rational_pjw(n, p, caches), caches) for p, n in cases
+    }
+    monkeypatch.setattr(pjw, "DIRECT_BUDGET_Q", budget)
+    monkeypatch.setattr(pjw, "DIRECT_BUDGET_FP", budget)
+    for p, n in cases:
+        fresh = Caches()
+        report = verify_battery(rational_pjw(n, p, fresh), fresh)
+        assert [(c.name, c.passed) for c in report.checks] == [
+            (c.name, c.passed) for c in default[p, n].checks
+        ]
+        budgeted = [c for c in report.checks if c.name.startswith(BUDGETED)]
+        assert budgeted and all(c.mode == mode and c.passed for c in budgeted)
+        # the default budgets certify nothing below n = 8
+        if n < 8:
+            assert all(c.mode == "direct" for c in default[p, n].checks)
+
+
+def test_certificates_do_not_pass_vacuously(monkeypatch):
+    monkeypatch.setattr(pjw, "DIRECT_BUDGET_Q", 0)
+    monkeypatch.setattr(pjw, "DIRECT_BUDGET_FP", 0)
+    fresh = Caches()
+    dec = rational_pjw(6, 2, fresh)
+    dec.terms[0].lam *= 2  # one wrong scalar; the built maps are untouched
+    report = verify_battery(dec, fresh)
+    assert [c.name for c in report.failures()] == [
+        "lambda_table",
+        "component_trace[0]",
+        "sandwich[0,0]",
+        "component_idempotent[0]",
+        "total_idempotent",
+        "reduction_idempotent",
+    ]
+    assert all(c.mode == "certified" for c in report.checks if c.name.startswith(BUDGETED))

@@ -129,16 +129,36 @@ def test_decomposition_emission_matches_oracle(p, caches):
 
 def test_parsed_forms_leave_the_collector_as_found():
     f = TLMorphism.identity(3)
+    text = morphism_to_json(f)
     assert gc.isenabled()
     morphism_to_dict(f)
     morphism_to_json(f, indent=2)
+    assert morphism_from_json(text) == f
+    assert gc.isenabled()
+    with pytest.raises(ValueError):
+        morphism_from_json(text[:-1])  # truncated: not JSON
     assert gc.isenabled()
     gc.disable()
     try:
         morphism_to_dict(f)
+        assert morphism_from_json(text) == f
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+def test_parser_pauses_the_collector(monkeypatch):
+    # the collector is off while json.loads builds the document tree
+    import wenzl.serialize
+
+    seen = []
+    loads = json.loads
+    monkeypatch.setattr(
+        wenzl.serialize.json, "loads", lambda s: seen.append(gc.isenabled()) or loads(s)
+    )
+    morphism_from_json(morphism_to_json(TLMorphism.identity(3)))
+    assert seen == [False]
+    assert gc.isenabled()
 
 
 @pytest.mark.parametrize(

@@ -152,16 +152,42 @@ def mul_b1_power(x: HeckeElement, m: int) -> HeckeElement:
     """x * b_1^m: m alternating generator multiplications.
 
     All word lengths in x must share one parity (they always do for the
-    p-canonical elements), which fixes the starting letter.
+    p-canonical elements), which fixes the starting letter.  Each step
+    applies the rule of :func:`mul_by_generator` to one flat map
+    (k, exponent of v) -> int, so no Laurent polynomial is built until the
+    end.
     """
     if m == 0 or x.is_zero():
         return x
     parities = {k % 2 for k in x.terms}
     if len(parities) > 1:
         raise ValueError("mixed parities: starting letter is ambiguous")
+    cur = {(k, e): c for k, poly in x.terms.items() for e, c in poly.coeffs.items()}
     for letter in b1_power_letters(parities.pop(), m):
-        x = mul_by_generator(x, letter)
-    return x
+        odd = letter == "s"  # s is the last letter of the odd lengths
+        out: dict[tuple[int, int], int] = {}
+        get = out.get
+        for (k, e), c in cur.items():
+            if not c:
+                continue
+            if k == 0:
+                if not odd:
+                    raise ValueError("b_t takes the unit outside the s-initial family")
+                out[1, e] = get((1, e), 0) + c
+            elif k % 2 == odd:  # the letter ends the word: (v + 1/v) b_k
+                out[k, e + 1] = get((k, e + 1), 0) + c
+                out[k, e - 1] = get((k, e - 1), 0) + c
+            elif k == 1:
+                out[2, e] = get((2, e), 0) + c
+            else:
+                out[k + 1, e] = get((k + 1, e), 0) + c
+                out[k - 1, e] = get((k - 1, e), 0) + c
+        cur = out
+    polys: dict[int, dict[int, int]] = {}
+    for (k, e), c in cur.items():
+        if c:
+            polys.setdefault(k, {})[e] = c
+    return HeckeElement({k: LaurentPoly(cs) for k, cs in polys.items()})
 
 
 def b1_power_closed_form(j: int, m: int) -> HeckeElement:

@@ -20,17 +20,19 @@ fast.  The intern table is keyed by an int: a planar pairing is fixed by its
 openers (the labels paired to a higher label), so its Dyck word, one bit per
 label, together with ``bottom`` identifies it.  Every walk that builds a
 matching sets the word's bits as it pairs labels and builds the partner
-tuple only when the key is new; a generator rewiring changes at most four
-bits, so its result key costs O(1).  All values are immutable; re-inserting
-an equal matching into the intern table is harmless, so the table tolerates
-concurrent use.
+tuple only when the key is new.  A generator rewiring changes at most four
+bits, so its result key costs O(1); a flip's key is the word complemented
+and bit-reversed, so it walks no labels either.  All values are immutable;
+re-inserting an equal matching into the intern table is harmless, so the
+table tolerates concurrent use.
 
-A matching stores only its partner tuple, key and halves, and, once it has
-been serialized, its pair list as JSON text.  The pair list is derived from
-``partner``: the engine never reads it, sorting by ``partner`` gives the
-pair-list order (see :class:`CrossinglessMatching`) and the through strands
-are read off the key.  So building and verifying projectors builds neither
-pair tuples nor text.
+A matching stores only its partner tuple, key, halves and closure loop
+count, and, once it has been serialized, its pair list as JSON text.  The
+halves and the loop count are computed on first use and kept.  The pair
+list is derived from ``partner``: the engine never reads it, sorting by
+``partner`` gives the pair-list order (see :class:`CrossinglessMatching`)
+and the through strands are read off the key.  So building and verifying
+projectors builds neither pair tuples nor text.
 
 Composition runs through half-diagrams.  A matching x: n -> m with t through
 strands factors as x == hi(x) o lo(x), where lo(x): n -> t keeps the bottom
@@ -51,9 +53,11 @@ So :func:`compose` is the one product kernel: a product with a single
 diagram (:func:`apply_matching_left`, :func:`apply_matching_right`) is a
 compose with a one-term morphism.  Likewise :func:`partial_close_right` is the
 one closure walk: it walks each diagram once with the closed points glued,
-instead of padding and composing, and the Markov trace is its closure of all
-strands.  Only generators have their own kernel: e_i rewires two labels in
-place and needs no boundary walk.
+instead of padding and composing.  The Markov trace, the closure of all
+strands, always lands on the empty diagram, so it needs no closure walk:
+each matching's closure loop count is walked once and kept, and a trace is
+one sum over the terms.  Only generators have their own kernel: e_i
+rewires two labels in place and needs no boundary walk.
 
 A morphism holds int numerators over one denominator ``den``, in the
 canonical form of rings.py: den > 0 is coprime to the numerators taken
@@ -114,10 +118,16 @@ class CrossinglessMatching:
     first differ, at label x, both open an arc (had x closed to y < x in
     one, the other would agree that ``partner[y] == x``), so the pair lists
     first differ at (x, mate) with the same sign.
+
+    ``_loops`` is the number of circles of an endomorphism's Markov
+    closure (see :func:`closure_loops`): walked from ``partner`` on the
+    first trace that meets the matching and kept, like the halves, so a
+    later trace reads one slot per term.
     """
 
     __slots__ = (
-        "bottom", "top", "partner", "uid", "_halves", "_pairs_json", "__weakref__"
+        "bottom", "top", "partner", "uid", "_halves", "_loops", "_pairs_json",
+        "__weakref__",
     )
 
     def __init__(self, bottom: int, top: int, partner: tuple[int, ...], uid: int):
@@ -126,6 +136,7 @@ class CrossinglessMatching:
         self.partner = partner
         self.uid = uid
         self._halves = None
+        self._loops = None
         self._pairs_json = None
 
     @property
@@ -405,10 +416,20 @@ def matching_tensor(
 
 
 def matching_flip(a: CrossinglessMatching) -> CrossinglessMatching:
-    """Turn the diagram upside down (bottom and top swap)."""
-    total = a.bottom + a.top
-    res = [total - 1 - y for y in reversed(a.partner)]
-    return _from_partner(a.top, a.bottom, res)
+    """Turn the diagram upside down (bottom and top swap).
+
+    Label x becomes total-1-x and each opener a closer, so the flipped word
+    is a's word complemented over its total bits, then bit-reversed: the key
+    costs no walk over the labels, and the pairing is built only when new.
+    """
+    n, m = a.bottom, a.top
+    total = n + m
+    word = (a.uid >> _SHIFT) ^ ((1 << total) - 1)
+    uid = int(f"{word:0{total}b}"[::-1], 2) << _SHIFT | m
+    hit = _INTERN.get(uid)
+    if hit is not None:
+        return hit
+    return _intern(uid, m, n, [total - 1 - y for y in reversed(a.partner)])
 
 
 def halves(
@@ -843,9 +864,10 @@ def partial_close_right(f: TLMorphism, m: int) -> TLMorphism:
 
     The top-right m points are bent over to the bottom-right m points with
     nested arcs, so an n->k morphism becomes (n-m)->(k-m).  Closing a through
-    strand of the identity creates a closed loop and hence a factor -2; the
-    m = bottom = top case is the full Markov closure, which
-    :func:`markov_trace` reads off the empty diagram.
+    strand of the identity creates a closed loop and hence a factor -2.  The
+    m = bottom = top case is the full Markov closure, a multiple of the
+    empty diagram; :func:`markov_trace` computes it without this walk, from
+    each matching's kept closure loop count.
 
     Each diagram is walked once with its top label n+t glued to its bottom
     label n-1-t for t < m: the walk joins the free ends and counts the closed
@@ -907,16 +929,56 @@ def partial_close_right(f: TLMorphism, m: int) -> TLMorphism:
     return TLMorphism._from_nums(n - m, k - m, ring, *ring.canonical(out, den))
 
 
+def closure_loops(x: CrossinglessMatching) -> int:
+    """The circles of the Markov closure of an endomorphism x: n -> n.
+
+    Each top point is bent around to the bottom point directly below it,
+    which glues label y to label 2n-1-y; each circle alternates x's arcs
+    and those gluings.  Walked once from ``partner`` and kept on x.
+    """
+    c = x._loops
+    if c is None:
+        p = x.partner
+        mirror = len(p) - 1
+        seen = bytearray(len(p))
+        c = 0
+        for s in range(len(p)):
+            if seen[s]:
+                continue
+            c += 1
+            y = s
+            while not seen[y]:
+                seen[y] = 1
+                z = p[y]
+                seen[z] = 1
+                y = mirror - z
+        x._loops = c
+    return c
+
+
 def markov_trace(f: TLMorphism):
     """Full closure of an endomorphism, as a scalar on the empty diagram.
 
-    This is :func:`partial_close_right` of all n strands: each top point is
-    bent around to the bottom point directly below it, and a diagram whose
-    closure has c circles contributes (-2)**c times its coefficient.
+    A diagram whose closure has c circles contributes (-2)**c times its
+    coefficient, c read from the matching's kept :func:`closure_loops`, so
+    the trace is one int sum over the terms, canonicalised once.  It agrees
+    with :func:`partial_close_right` of all n strands, which it does not
+    call.
     """
-    if f.bottom != f.top:
+    n = f.bottom
+    if n != f.top:
         raise ValueError("markov trace needs an endomorphism")
-    return partial_close_right(f, f.bottom).identity_coefficient()
+    ring = f.ring
+    nums, den = f.ints()
+    pw = _loop_powers(n)
+    total = 0
+    for mm, c in nums.items():
+        loops = mm._loops
+        if loops is None:
+            loops = closure_loops(mm)
+        total += c * pw[loops]
+    sums, den = ring.canonical({None: total}, den)
+    return ring.element(sums.get(None, 0), den)
 
 
 def apply_e_top(i: int, x: TLMorphism, scalar=None) -> TLMorphism:

@@ -328,9 +328,14 @@ def test_oversized_hecke_n_refused_quickly(argv):
      (["jw", "--n", "-1"], "natural number"),
      (["pjw", "--p", "4", "--n", "3"], "p must be prime"),
      (["verify", "--p", "4", "--max-n", "3"], "p must be prime"),
-     (["hecke", "lemma", "--p", "4", "--n", "3"], "p must be prime")],
+     (["hecke", "lemma", "--p", "4", "--n", "3"], "p must be prime"),
+     (["hecke", "lemma", "--p", "2", "--n", "0"], "n=0: p_support requires n >= 1"),
+     (["hecke", "lemma", "--p", "2", "--n", "-3"], "natural number"),
+     (["hecke", "pcanonical", "--p", "2", "--n", "3", "--to", "-1"], "natural number"),
+     (["hecke", "lemma", "--p", "2", "--n", "7"], "n=7: 7 has no father for p=2")],
     ids=["verify_negative_n", "jw_negative_n", "pjw_not_prime",
-         "verify_not_prime", "hecke_not_prime"],
+         "verify_not_prime", "hecke_not_prime", "hecke_zero_n", "hecke_negative_n",
+         "hecke_negative_to", "hecke_adam_n"],
 )
 def test_bad_n_or_p_refused(argv, reason):
     _assert_refused_quickly(argv, reason)

@@ -8,6 +8,7 @@ from wenzl.hecke import (
     HeckeElement,
     V_PLUS_VINV,
     b1_power_closed_form,
+    b1_power_letters,
     last_letter,
     lemma_positivity_check,
     mul_b1_power,
@@ -59,6 +60,40 @@ def test_b1_power_zero_is_identity_map():
 def test_mixed_parity_rejected():
     with pytest.raises(ValueError):
         mul_b1_power(B(2).add(B(3)), 1)
+
+
+def _b1_power_oracle(x, m):
+    """x * b_1^m as m repeated three-case generator products."""
+    if m == 0 or x.is_zero():
+        return x
+    (parity,) = {k % 2 for k in x.terms}
+    for letter in b1_power_letters(parity, m):
+        x = mul_by_generator(x, letter)
+    return x
+
+
+def test_b1_power_matches_repeated_generator_products():
+    products = 0
+    for p in (2, 3):
+        for n in range(1, 201):
+            data = p_support(n, p)
+            if data.is_adam:
+                continue
+            x = p_canonical(data.father + 1, p)
+            assert mul_b1_power(x, data.gap) == _b1_power_oracle(x, data.gap), (n, p)
+            products += 1
+    assert products > 300
+    # Laurent coefficients, signs and a cancelling sum keep every exponent
+    x = HeckeElement({
+        0: LaurentPoly({1: 3, -2: -1}),
+        2: LaurentPoly({0: -1, 5: 2}),
+        6: LaurentPoly.one(),
+    })
+    for m in range(8):
+        assert mul_b1_power(x, m) == _b1_power_oracle(x, m)
+    y = HeckeElement({1: LaurentPoly({2: 1}), 3: LaurentPoly({2: -1})})
+    for m in range(1, 6):
+        assert mul_b1_power(y, m) == _b1_power_oracle(y, m)
 
 
 @pytest.mark.parametrize("j", range(2, 30))

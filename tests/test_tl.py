@@ -1,10 +1,14 @@
 """Diagram engine: enumeration against a crossing oracle, category laws."""
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -327,6 +331,60 @@ def test_flip_contravariant_involution():
         g = random_morphism(rng, mid, k)
         assert f.flip().flip() == f
         assert compose(g, f).flip() == compose(f.flip(), g.flip())
+
+
+def _flip_oracle(x):
+    """(bottom, top, partner) of x upside down: label y -> total-1-y."""
+    total = x.bottom + x.top
+    return x.top, x.bottom, tuple(total - 1 - y for y in reversed(x.partner))
+
+
+def test_flip_key_matches_reversed_partner_oracle():
+    for n, m in small_hom_spaces(12):
+        for x in enumerate_basis(n, m):
+            y = matching_flip(x)
+            assert (y.bottom, y.top, y.partner) == _flip_oracle(x)
+            assert y.uid == word_key(y.bottom, y.partner)
+            assert matching_flip(y) is x
+
+
+_FLIP_MISSES = """
+from wenzl import tl
+from wenzl.tl import enumerate_basis, matching_flip
+flips = 0
+for n in range(13):
+    for m in range(n % 2, 13 - n, 2):
+        if m <= n:
+            continue
+        # Hom(m, n) is not interned yet: every flip of Hom(n, m) is new
+        for x in enumerate_basis(n, m):
+            before = len(tl._INTERN)
+            y = matching_flip(x)
+            assert len(tl._INTERN) == before + 1, (x, y)
+            total = n + m
+            assert (y.bottom, y.top) == (m, n)
+            assert y.partner == tuple(total - 1 - v for v in reversed(x.partner))
+            word = sum(1 << v for v, w in enumerate(y.partner) if w > v)
+            assert y.uid == word << tl._SHIFT | m
+            assert matching_flip(y) is x and matching_flip(x) is y
+            flips += 1
+        assert {matching_flip(x) for x in enumerate_basis(n, m)} == set(
+            enumerate_basis(m, n)
+        )
+print(flips)
+"""
+
+
+def test_flip_builds_new_matchings_on_a_miss():
+    # a fresh process: the flips are not interned, so each builds its pairing
+    env = dict(os.environ, PYTHONPATH=str(Path(tl.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FLIP_MISSES],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    misses = sum(catalan((n + m) // 2) for n, m in small_hom_spaces(12) if m > n)
+    assert int(proc.stdout) == misses
 
 
 def test_associativity_and_interchange():
@@ -818,9 +876,41 @@ def _markov_trace_oracle(f):
 @given(st.data())
 def test_markov_trace_matches_full_closure(data):
     ring = data.draw(st.sampled_from(RINGS))
-    n = data.draw(st.integers(0, 6))
+    n = data.draw(st.sampled_from([0, *range(7)]))  # n = 0 drawn more often
+
+    def check(f):
+        want = _markov_trace_oracle(f)
+        assert markov_trace(f) == want
+        # the closure walk the trace used to route through
+        assert partial_close_right(f, n).identity_coefficient() == want
+        assert all(mm._loops is not None for mm in f.terms)
+
     f = data.draw(morphisms(n, n, ring))
-    assert markov_trace(f) == _markov_trace_oracle(f)
+    check(f)
+    # the same matchings with other coefficients over another ring: every
+    # loop count is now kept, so the trace reads it and walks nothing
+    other = data.draw(st.sampled_from([r for r in RINGS if r is not ring]))
+    nums = data.draw(st.lists(st.integers(-9, 9), min_size=len(f.terms),
+                              max_size=len(f.terms)))
+    g = TLMorphism(n, n, other, {
+        mm: other.fraction(a, 7) if other is QQ else other.from_int(a)
+        for mm, a in zip(f.terms, nums)
+    })
+    with (
+        mock.patch.object(tl, "closure_loops", side_effect=AssertionError),
+        mock.patch.object(tl, "partial_close_right", side_effect=AssertionError),
+    ):
+        assert markov_trace(g) == _markov_trace_oracle(g)
+    # the pair form (den None): coefficients over unrelated denominators
+    basis = enumerate_basis(n, n)
+    if len(basis) >= len(WILD_DENS):
+        chosen = data.draw(st.permutations(basis))[: len(WILD_DENS)]
+        wild = TLMorphism(n, n, QQ, {
+            mm: Fraction(j - 4 or 5, d)
+            for j, (mm, d) in enumerate(zip(chosen, WILD_DENS))
+        })
+        assert wild.den is None
+        check(wild)
     assert markov_trace(TLMorphism.identity(n, ring)) == ring.from_int((-2) ** n)
     with pytest.raises(ValueError):
         markov_trace(TLMorphism.zero(n, n + 2, ring))

@@ -13,8 +13,9 @@ n and a p that is not prime are refused the same way, with an ``error:``
 line.
 
 Hecke bound: ``hecke --n`` and ``--to`` refuse a negative n, and any n above
-MAX_HECKE_N = 2047, the same way; so does ``lemma`` an n it cannot check
-(n = 0, or an n with no father).  ``lemma`` multiplies up through the gap to
+MAX_HECKE_N = 2047, the same way; so do a ``--to`` below ``--n``,
+``pcanonical`` an n below 2 and ``lemma`` an n it cannot check (n = 0, or
+an n with no father).  ``lemma`` multiplies up through the gap to
 the father one generator at a time, so its time grows with the square of
 the gap, which reaches a third of n.  On a 2-core VM the largest gap below
 the bound takes 0.1 s (p = 2, n = 1535, gap 512); n = 6143 (gap 2048) takes
@@ -270,13 +271,15 @@ def _fp_defined(n: int, p: int) -> bool:
 
 def cmd_hecke(args) -> int:
     require_prime(args.p)
-    last = args.to or args.n
+    last = args.n if args.to is None else args.to
     _refuse_negative(args.n)
     _refuse_negative(last)
-    if max(args.n, last) > MAX_HECKE_N:
-        raise ValueError(
-            f"n = {max(args.n, last)} is too large for hecke (n <= {MAX_HECKE_N})"
-        )
+    if last < args.n:
+        raise ValueError(f"--to {last} is below --n {args.n}: the range is empty")
+    if last > MAX_HECKE_N:
+        raise ValueError(f"n = {last} is too large for hecke (n <= {MAX_HECKE_N})")
+    if args.action == "pcanonical" and args.n < 2:
+        raise ValueError(f"pcanonical needs --n >= 2, got {args.n}")
     failures = 0
     for n in range(args.n, last + 1):
         if args.action == "pcanonical":

@@ -29,6 +29,7 @@ Hecke elements: {"terms": [{"k": k, "coeff": {"<exponent>": coeff, ...}}]}.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 import gc
 import json
 from typing import Any
@@ -38,22 +39,31 @@ from .rings import LaurentPoly, QQ, ring_by_name
 from .tl import MAX_ARITY, TLMorphism, matching
 
 
-def _parsed(text: str) -> Any:
-    """json.loads(text) with the cyclic collector paused, if it is enabled.
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic collector, if it is enabled, for the block.
 
-    A parsed document is a tree of one list per pair: it holds no cycle,
-    yet its millions of new lists trigger full collections that re-walk
+    Parsing builds only acyclic objects: a document is a tree of one list
+    per pair, and a parsed morphism is interned matchings and int maps.  Yet
+    their millions of new objects trigger full collections that re-walk
     every interned matching (on a 2-core VM, parsing the p = 2, n = 11
     decomposition took 3.2 s, of which 0.6 s outside the collector).  Only
-    a call that paused the collector restarts it.
+    a block that paused the collector restarts it.
     """
     if not gc.isenabled():
-        return json.loads(text)
+        yield
+        return
     gc.disable()
     try:
-        return json.loads(text)
+        yield
     finally:
         gc.enable()
+
+
+def _parsed(text: str) -> Any:
+    """json.loads(text) with the cyclic collector paused."""
+    with _collector_paused():
+        return json.loads(text)
 
 
 def _indented(text: str, indent: int | None) -> str:
@@ -87,7 +97,10 @@ def morphism_to_dict(f: TLMorphism) -> dict[str, Any]:
 
 
 def morphism_from_dict(d: dict[str, Any]) -> TLMorphism:
-    """The morphism of a parsed JSON document; ValueError if it is malformed."""
+    """The morphism of a parsed JSON document; ValueError if it is malformed.
+
+    The matchings are interned with the cyclic collector paused.
+    """
     if not isinstance(d, dict):
         raise ValueError("a morphism must be a JSON object")
     try:
@@ -97,11 +110,12 @@ def morphism_from_dict(d: dict[str, Any]) -> TLMorphism:
             raise ValueError(f"arity {bottom}->{top} outside 0..{MAX_ARITY}")
         parse = ring.parse_ratio
         ratios = {}
-        for t in d["terms"]:
-            pairs = t["pairs"]
-            if 2 * len(pairs) != bottom + top:  # before matching() sizes a table
-                raise ValueError(f"{len(pairs)} pairs for {bottom}+{top} points")
-            ratios[matching(bottom, top, pairs)] = parse(t["coeff"])
+        with _collector_paused():
+            for t in d["terms"]:
+                pairs = t["pairs"]
+                if 2 * len(pairs) != bottom + top:  # before matching() sizes a table
+                    raise ValueError(f"{len(pairs)} pairs for {bottom}+{top} points")
+                ratios[matching(bottom, top, pairs)] = parse(t["coeff"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed morphism: {exc!r}") from exc
     return TLMorphism.from_ratios(bottom, top, ring, ratios)

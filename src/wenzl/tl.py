@@ -21,10 +21,11 @@ openers (the labels paired to a higher label), so its Dyck word, one bit per
 label, together with ``bottom`` identifies it.  Every walk that builds a
 matching sets the word's bits as it pairs labels and builds the partner
 tuple only when the key is new.  A generator rewiring changes at most four
-bits, so its result key costs O(1); a flip's key is the word complemented
-and bit-reversed, so it walks no labels either.  All values are immutable;
-re-inserting an equal matching into the intern table is harmless, so the
-table tolerates concurrent use.
+bits and a splice of two adjacent labels drops or inserts two and sets
+one more, so their result keys cost O(1); a flip's key is the word
+complemented and bit-reversed, so it walks no labels either.  All values
+are immutable; re-inserting an equal matching into the intern table is
+harmless, so the table tolerates concurrent use.
 
 A matching stores only its partner tuple, key, halves and closure loop
 count, and, once it has been serialized, its pair list as JSON text.  The
@@ -49,15 +50,20 @@ per pair of halves.  Where mu is the identity on the middle strands (the top
 cell), every bottom half of g falls in one class, so the product is one with
 the Gram matrix of the cell module, taken in the cheap order.
 
-So :func:`compose` is the one product kernel: a product with a single
-diagram (:func:`apply_matching_left`, :func:`apply_matching_right`) is a
-compose with a one-term morphism.  Likewise :func:`partial_close_right` is the
-one closure walk: it walks each diagram once with the closed points glued,
-instead of padding and composing.  The Markov trace, the closure of all
-strands, always lands on the empty diagram, so it needs no closure walk:
-each matching's closure loop count is walked once and kept, and a trace is
-one sum over the terms.  Only generators have their own kernel: e_i
-rewires two labels in place and needs no boundary walk.
+So :func:`compose` is the one product kernel for two combinations.  The
+products with a single diagram and the closures are local, and walk no
+boundary.  A generator e_i rewires two labels in place
+(:func:`rewire_ints`).  Every other local step splices two adjacent
+boundary labels (:func:`splice_ints`): a contraction joins the strands
+ending there and deletes both labels (a cap or cup taken from a diagram, or
+the corner that closes one strand around the right side), and an insertion
+adds a new arc.  So :func:`apply_matching_left` and
+:func:`apply_matching_right` contract d's arcs that meet x, innermost first,
+then insert d's far arcs; :func:`partial_close_right` is m corner
+contractions.  Each splice takes a term's key to its result's key in O(1).
+The Markov trace, the closure of all strands, always lands on the empty
+diagram, so it needs no splices: each matching's closure loop count is
+walked once and kept, and a trace is one sum over the terms.
 
 A morphism holds int numerators over one denominator ``den``, in the
 canonical form of rings.py: den > 0 is coprime to the numerators taken
@@ -79,7 +85,6 @@ under the rewired int keys and look no matching up.
 from __future__ import annotations
 
 from functools import lru_cache
-import itertools
 from math import lcm
 from typing import Iterable
 
@@ -835,15 +840,66 @@ def compose(g: TLMorphism, f: TLMorphism) -> TLMorphism:
 def apply_matching_left(
     d: CrossinglessMatching, x: TLMorphism, scalar=None
 ) -> TLMorphism:
-    """scalar * (d o x) for a single matching d, through :func:`compose`."""
-    return compose(TLMorphism.from_matching(d, x.ring, scalar), x)
+    """scalar * (d o x) for a single matching d, by boundary splices.
+
+    d's caps join pairs of x's top points and d's cups add new top arcs, so
+    no boundary walk is made.  Walking d's bottom points right to left,
+    which is x's top labels upward, the left end of each cap meets its right
+    end adjacent (everything between has been contracted already), so the
+    caps are contracted innermost first.  Then d's cups are inserted at
+    d's top labels in increasing order: every label below the insertion is
+    final, so each cup's opener lands where d has it and the arcs inside it
+    go in after it.
+    """
+    if d.bottom != x.top:
+        raise ValueError(f"arity mismatch: {x}.top != {d}.bottom")
+    n, k = x.bottom, d.bottom
+    pd = d.partner
+    nums, den = x.ints()
+    top = k
+    s = 0  # x's top points passed and not yet contracted
+    for j in range(k - 1, -1, -1):
+        if j < pd[j] < k:  # a cap's left end, next to its right end at n+s-1
+            s -= 1
+            top -= 2
+            nums = splice_ints(nums, n + s, n, top)
+        else:
+            s += 1
+    for y in range(k, k + d.top):
+        if pd[y] > y:  # a cup opens at d's label y, x's label n+y-k
+            top += 2
+            nums = splice_ints(nums, n + y - k, n, top, cup=True)
+    return _morphism_of_sums(x.ring, n, top, nums, den, scalar)
 
 
 def apply_matching_right(
     d: CrossinglessMatching, x: TLMorphism, scalar=None
 ) -> TLMorphism:
-    """scalar * (x o d) for a single matching d, through :func:`compose`."""
-    return compose(x, TLMorphism.from_matching(d, x.ring, scalar))
+    """scalar * (x o d) for a single matching d, by boundary splices.
+
+    The mirror of :func:`apply_matching_left` on x's bottom: d's top arcs
+    are contracted innermost first, walking x's bottom labels upward, then
+    d's bottom arcs are inserted in increasing label order.
+    """
+    if d.top != x.bottom:
+        raise ValueError(f"arity mismatch: {d}.top != {x}.bottom")
+    kb, k = d.bottom, x.top
+    pd = d.partner
+    nums, den = x.ints()
+    bottom = x.bottom
+    s = 0  # x's bottom points passed and not yet contracted
+    for y in range(kb + bottom - 1, kb - 1, -1):
+        if pd[y] > y:  # a top arc's left end, next to its right end at s-1
+            s -= 1
+            bottom -= 2
+            nums = splice_ints(nums, s, bottom, k)
+        else:
+            s += 1
+    for y in range(kb):
+        if y < pd[y] < kb:  # an arc opens at d's bottom label y
+            bottom += 2
+            nums = splice_ints(nums, y, bottom, k, cup=True)
+    return _morphism_of_sums(x.ring, bottom, k, nums, den, scalar)
 
 
 def tensor_with_identity(x: TLMorphism, m: int) -> TLMorphism:
@@ -866,67 +922,23 @@ def partial_close_right(f: TLMorphism, m: int) -> TLMorphism:
     nested arcs, so an n->k morphism becomes (n-m)->(k-m).  Closing a through
     strand of the identity creates a closed loop and hence a factor -2.  The
     m = bottom = top case is the full Markov closure, a multiple of the
-    empty diagram; :func:`markov_trace` computes it without this walk, from
-    each matching's kept closure loop count.
+    empty diagram; :func:`markov_trace` computes it without this, from each
+    matching's kept closure loop count.
 
-    Each diagram is walked once with its top label n+t glued to its bottom
-    label n-1-t for t < m: the walk joins the free ends and counts the closed
-    loops, the int sums are canonicalised once, and nothing is padded or
-    composed.
+    Closing one strand joins the corner labels n-1 (the last bottom point)
+    and n (the last top point), so the closure is m contractions by
+    :func:`splice_ints`, the t-th at labels n-1-t, n-t, innermost first: no
+    diagram is walked, padded or composed.
     """
     if m == 0:
         return f
     n, k = f.bottom, f.top
     if m > n or m > k:
         raise ValueError(f"cannot close {m} strands of {n}->{k}")
-    ring = f.ring
     nums, den = f.ints()
-    pw = _loop_powers(m)
-    total = n + k
-    glued_lo, glued_hi = n - m, n + m  # glued labels g pair with 2n-1-g
-    mirror = 2 * n - 1
-    shift = 2 * m  # a free top label drops by 2m in the result
-    bit = _BIT
-    find = _INTERN.get
-    out: dict = {}
-    get = out.get
-    for mm, c in nums.items():
-        pm = mm.partner
-        seen = bytearray(total)
-        res = [-1] * (total - shift)
-        uid = n - m
-        for s in itertools.chain(range(glued_lo), range(glued_hi, total)):
-            if seen[s]:
-                continue
-            y = pm[s]
-            while glued_lo <= y < glued_hi:
-                seen[y] = 1
-                y = mirror - y
-                seen[y] = 1
-                y = pm[y]
-            seen[y] = 1
-            a = s if s < glued_lo else s - shift
-            b = y if y < glued_lo else y - shift
-            res[a] = b
-            res[b] = a
-            uid |= bit[a]  # s < y, and the relabelling keeps the order
-        loops = 0
-        for s in range(glued_lo, glued_hi):
-            if seen[s]:
-                continue
-            loops += 1
-            y = s
-            while not seen[y]:
-                seen[y] = 1
-                z = pm[y]
-                seen[z] = 1
-                y = mirror - z
-        key = find(uid) or _intern(uid, n - m, k - m, res)
-        if loops:
-            c = c * pw[loops]
-        prev = get(key)
-        out[key] = c if prev is None else prev + c
-    return TLMorphism._from_nums(n - m, k - m, ring, *ring.canonical(out, den))
+    for t in range(1, m + 1):
+        nums = splice_ints(nums, n - t, n - t, k - t)
+    return _morphism_of_sums(f.ring, n - m, k - m, nums, den)
 
 
 def closure_loops(x: CrossinglessMatching) -> int:
@@ -1005,14 +1017,19 @@ def apply_e_bottom(i: int, x: TLMorphism, scalar=None) -> TLMorphism:
 
 def _rewire(x: TLMorphism, la: int, lb: int, scalar) -> TLMorphism:
     """scalar * x with boundary labels la, lb joined by a generator arc."""
-    ring = x.ring
     nums, den = x.ints()
-    out = rewire_ints(nums, la, lb)
+    return _morphism_of_sums(
+        x.ring, x.bottom, x.top, rewire_ints(nums, la, lb), den, scalar
+    )
+
+
+def _morphism_of_sums(ring, bottom, top, sums: dict, den, scalar=None) -> TLMorphism:
+    """scalar * (the int sums over den), canonicalised once."""
     if scalar is not None:
         num, s_den = ring.split(scalar)
-        out = {k: v * num for k, v in out.items()}
+        sums = {k: v * num for k, v in sums.items()}
         den *= s_den
-    return TLMorphism._from_nums(x.bottom, x.top, ring, *ring.canonical(out, den))
+    return TLMorphism._from_nums(bottom, top, ring, *ring.canonical(sums, den))
 
 
 def rewire_ints(ints: dict, la: int, lb: int) -> dict:
@@ -1050,6 +1067,73 @@ def rewire_ints(ints: dict, la: int, lb: int) -> dict:
                 lst[la] = lb
                 lst[lb] = la
                 key = _intern(uid, m.bottom, m.top, lst)
+        prev = get(key)
+        out[key] = c if prev is None else prev + c
+    return out
+
+
+def splice_ints(
+    ints: dict, a: int, bottom: int, top: int, cup: bool = False
+) -> dict:
+    """The int sums of a map of int coefficients spliced at labels a, a+1.
+
+    A contraction (``cup`` false) joins the strands that end at the
+    adjacent labels a and a+1 and deletes both labels; when they were
+    partners a loop closes (-2).  Two bottom labels take a cup from below,
+    two top labels a cap from above, and the corner a = n-1 (the last
+    bottom point against the last top point) closes one strand around the
+    right side.  An insertion (``cup`` true) adds a new arc at a, a+1 and
+    moves every label from a up by 2.  ``bottom`` and ``top`` are the
+    arities of the results.  Sums are keyed by the interned result matching
+    and left unnormalised.
+
+    As in :func:`rewire_ints`, the result's key comes from the term's key
+    in O(1): two word bits are dropped or inserted and the new pair's
+    opener bit is set (and its closer's cleared), with the arity field set
+    to ``bottom``.  A partner list is built only for a matching that is not
+    interned yet.
+    """
+    out: dict = {}
+    get = out.get
+    find = _INTERN.get
+    bit = _BIT
+    at = a + _SHIFT
+    below = ((1 << at) - 1) ^ ((1 << _SHIFT) - 1)  # the key bits of labels < a
+    if cup:
+        opened = bit[a] | bottom
+        for m, c in ints.items():
+            uid = m.uid
+            uid = (uid & below) | (uid >> at << (at + 2)) | opened
+            key = find(uid)
+            if key is None:
+                lst = [y + 2 if y >= a else y for y in m.partner]
+                lst[a:a] = (a + 1, a)
+                key = _intern(uid, bottom, top, lst)
+            out[key] = c
+        return out
+    b = a + 1
+    for m, c in ints.items():
+        pm = m.partner
+        uid = m.uid
+        uid = (uid & below) | (uid >> (at + 2) << at) | bottom
+        u = pm[a]
+        if u == b:
+            c = c * -2
+        else:
+            v = pm[b]
+            lo = u if u < a else u - 2  # the joined ends, relabelled
+            hi = v if v < a else v - 2
+            if lo > hi:
+                lo, hi = hi, lo
+            uid = (uid | bit[lo]) & ~bit[hi]
+        key = find(uid)
+        if key is None:
+            lst = list(pm)
+            if u != b:
+                lst[u] = v
+                lst[v] = u
+            del lst[a : a + 2]
+            key = _intern(uid, bottom, top, [y - 2 if y > b else y for y in lst])
         prev = get(key)
         out[key] = c if prev is None else prev + c
     return out

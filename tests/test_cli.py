@@ -332,10 +332,15 @@ def test_oversized_hecke_n_refused_quickly(argv):
      (["hecke", "lemma", "--p", "2", "--n", "0"], "n=0: p_support requires n >= 1"),
      (["hecke", "lemma", "--p", "2", "--n", "-3"], "natural number"),
      (["hecke", "pcanonical", "--p", "2", "--n", "3", "--to", "-1"], "natural number"),
-     (["hecke", "lemma", "--p", "2", "--n", "7"], "n=7: 7 has no father for p=2")],
+     (["hecke", "lemma", "--p", "2", "--n", "7"], "n=7: 7 has no father for p=2"),
+     (["hecke", "pcanonical", "--p", "2", "--n", "5", "--to", "0"],
+      "--to 0 is below --n 5"),
+     (["hecke", "lemma", "--p", "2", "--n", "5", "--to", "2"], "--to 2 is below --n 5"),
+     (["hecke", "pcanonical", "--p", "2", "--n", "1"], "needs --n >= 2")],
     ids=["verify_negative_n", "jw_negative_n", "pjw_not_prime",
          "verify_not_prime", "hecke_not_prime", "hecke_zero_n", "hecke_negative_n",
-         "hecke_negative_to", "hecke_adam_n"],
+         "hecke_negative_to", "hecke_adam_n", "hecke_to_zero", "hecke_to_below_n",
+         "pcanonical_n_1"],
 )
 def test_bad_n_or_p_refused(argv, reason):
     _assert_refused_quickly(argv, reason)

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is read somewhere in it,
 every function the bench tracer wraps by name still exists, the emitter
-never reads pair tuples, the engine's hot paths build no pair text, and the
-battery's direct/certified budgets are read by its one decide step."""
+never reads pair tuples, the engine's hot paths build no pair text, the
+single-diagram kernels never compose, and the battery's direct/certified
+budgets are read by its one decide step."""
 
 import ast
 import importlib.util
@@ -158,6 +159,58 @@ def test_hot_paths_build_no_pair_tuples():
     assert interned > 1000
     assert tuples_built == 0
     assert with_text == 0
+
+
+def calls_reached(source: str, roots: list[str]) -> dict[str, set[str]]:
+    """For each root function, the names called by it and by every function
+    or method of the same source that it reaches through its calls (a call
+    ``f(...)`` or ``x.f(...)`` reaches each definition named f)."""
+    tree = ast.parse(source)
+    defs: dict[str, list[ast.FunctionDef]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            defs.setdefault(node.name, []).append(node)
+
+    def called(fn):
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name:
+                    yield name
+
+    reached = {}
+    for root in roots:
+        seen, todo = set(), [root]
+        while todo:
+            for fn in defs.get(todo.pop(), []):
+                for name in called(fn):
+                    if name not in seen:
+                        seen.add(name)
+                        todo.append(name)
+        reached[root] = seen
+    return reached
+
+
+def test_scanner_follows_calls():
+    source = (
+        "def a(x):\n    return b(x) + x.c()\n"
+        "def b(x):\n    return len(x)\n"
+        "class K:\n    def c(self):\n        return d(self)\n"
+        "def d(y):\n    return y\n"
+    )
+    assert calls_reached(source, ["a", "b"]) == {"a": {"b", "c", "len", "d"}, "b": {"len"}}
+
+
+def test_single_diagram_kernels_compose_nothing():
+    # products with one diagram and strand closures are boundary splices: no
+    # path from them reaches the product kernel or the boundary walk
+    source = (Path(wenzl.__file__).parent / "tl.py").read_text()
+    roots = ["apply_matching_left", "apply_matching_right", "partial_close_right"]
+    reached = calls_reached(source, roots)
+    for root in roots:
+        assert "splice_ints" in reached[root]
+        forbidden = {"compose", "matching_compose", "_matching_compose_walk"}
+        assert reached[root] & forbidden == set(), root
 
 
 def budget_reads(source: str) -> dict[str, list[str]]:

@@ -148,7 +148,8 @@ def test_parsed_forms_leave_the_collector_as_found():
 
 
 def test_parser_pauses_the_collector(monkeypatch):
-    # the collector is off while json.loads builds the document tree
+    # the collector is off while json.loads builds the document tree, and
+    # while morphism_from_dict interns the matchings of a parsed document
     import wenzl.serialize
 
     seen = []
@@ -158,6 +159,20 @@ def test_parser_pauses_the_collector(monkeypatch):
     )
     morphism_from_json(morphism_to_json(TLMorphism.identity(3)))
     assert seen == [False]
+    assert gc.isenabled()
+    interned = []
+    build = wenzl.serialize.matching
+    monkeypatch.setattr(
+        wenzl.serialize, "matching",
+        lambda *args: interned.append(gc.isenabled()) or build(*args),
+    )
+    doc = morphism_to_dict(random_morphism(random.Random(3), 3, 3, QQ))
+    assert morphism_from_dict(doc) == morphism_from_json(json.dumps(doc))
+    assert interned and not any(interned)
+    assert gc.isenabled()
+    doc["terms"][0]["pairs"] = [[0, 1], [0, 2], [4, 5]]  # a point used twice
+    with pytest.raises(ValueError):
+        morphism_from_dict(doc)
     assert gc.isenabled()
 
 

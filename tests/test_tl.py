@@ -1,5 +1,6 @@
 """Diagram engine: enumeration against a crossing oracle, category laws."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -422,14 +423,18 @@ def test_specialized_generator_application():
 
 
 def _pairwise_compose(g, f):
-    """g after f with one boundary walk per pair of terms."""
+    """g after f with one boundary walk per pair of terms, summing int
+    numerators over the product of the two denominators."""
     ring = f.ring
+    (f_nums, f_den), (g_nums, g_den) = f.ints(), g.ints()
     out = {}
-    for mf, cf in f.items():
-        for mg, cg in g.items():
+    for mf, a in f_nums.items():
+        for mg, b in g_nums.items():
             key, r = _matching_compose_walk(mg, mf)
-            out[key] = out.get(key, 0) + cf * cg * (-2) ** r
-    return TLMorphism(f.bottom, g.top, ring, out)
+            out[key] = out.get(key, 0) + a * b * (-2) ** r
+    den = f_den * g_den
+    terms = {mm: ring.element(v, den) for mm, v in out.items()}
+    return TLMorphism(f.bottom, g.top, ring, terms)
 
 
 def _cell_compose(g, f):
@@ -839,6 +844,57 @@ def test_fp_kernels_are_reductions_of_q_kernels():
 # ---------------------------------------------------------------------------
 
 
+def _partial_close_walk(f, m):
+    """partial_close_right by one walk per diagram, with top label n+t glued
+    to bottom label n-1-t for t < m: the kernel before closures became
+    boundary splices."""
+    if m == 0:
+        return f
+    n, k = f.bottom, f.top
+    ring = f.ring
+    nums, den = f.ints()
+    pw = tl._loop_powers(m)
+    total = n + k
+    glued_lo, glued_hi = n - m, n + m  # glued labels g pair with 2n-1-g
+    mirror = 2 * n - 1
+    shift = 2 * m  # a free top label drops by 2m in the result
+    out = {}
+    for mm, c in nums.items():
+        pm = mm.partner
+        seen = bytearray(total)
+        res = [-1] * (total - shift)
+        uid = n - m
+        for s in itertools.chain(range(glued_lo), range(glued_hi, total)):
+            if seen[s]:
+                continue
+            y = pm[s]
+            while glued_lo <= y < glued_hi:
+                seen[y] = 1
+                y = mirror - y
+                seen[y] = 1
+                y = pm[y]
+            seen[y] = 1
+            a = s if s < glued_lo else s - shift
+            b = y if y < glued_lo else y - shift
+            res[a] = b
+            res[b] = a
+            uid |= tl._BIT[a]  # s < y, and the relabelling keeps the order
+        loops = 0
+        for s in range(glued_lo, glued_hi):
+            if seen[s]:
+                continue
+            loops += 1
+            y = s
+            while not seen[y]:
+                seen[y] = 1
+                z = pm[y]
+                seen[z] = 1
+                y = mirror - z
+        key = tl._INTERN.get(uid) or tl._intern(uid, n - m, k - m, res)
+        out[key] = out.get(key, 0) + c * pw[loops]
+    return TLMorphism._from_nums(n - m, k - m, ring, *ring.canonical(out, den))
+
+
 def test_close_identity_strand_makes_loop():
     closed = partial_close_right(TLMorphism.identity(2), 1)
     assert closed == TLMorphism.identity(1).scale(Fraction(-2))
@@ -927,7 +983,8 @@ def test_markov_trace_cyclic():
 
 def test_collapse_conjugation_is_partial_closure():
     # capping m padded strands over f: n -> k equals the m-strand right
-    # closure; the pad-and-compose path is the oracle for the one-walk closure
+    # closure.  The oracle pads and composes term by term, and agrees with
+    # the one-walk closure; the splices must give the same on both paths
     rng = random.Random(13)
     shapes = [(3, 3, 1), (4, 4, 2), (2, 2, 1), (3, 5, 1), (5, 3, 3), (4, 2, 2),
               (2, 6, 2), (6, 4, 3), (1, 1, 1), (2, 2, 2), (4, 4, 4), (5, 5, 5)]
@@ -938,14 +995,130 @@ def test_collapse_conjugation_is_partial_closure():
             for _ in range(6):
                 f = random_morphism(rng, n, k, ring, max_terms=10)
                 padded = tensor_with_identity(f, m)
-                conj = apply_matching_left(post, apply_matching_right(pre, padded))
+                conj = _pairwise_compose(
+                    as_morphism(post, ring),
+                    _pairwise_compose(padded, as_morphism(pre, ring)),
+                )
+                assert _partial_close_walk(f, m) == conj
                 assert partial_close_right(f, m) == conj
+                assert apply_matching_left(post, apply_matching_right(pre, padded)) == conj
                 if n == k == m:  # the full closure, by pad and compose
                     assert markov_trace(f) == conj.identity_coefficient()
     with pytest.raises(ValueError):
         partial_close_right(TLMorphism.identity(2), 3)
     with pytest.raises(ValueError):
         partial_close_right(TLMorphism.zero(1, 3), 2)
+
+
+# ---------------------------------------------------------------------------
+# Boundary splices: single-diagram products and closures with no walk
+# ---------------------------------------------------------------------------
+
+
+SPLICE_HOMS = [(k, m) for k in range(11) for m in range(11 - k) if (k + m) % 2 == 0]
+
+
+def _padded_jw8(width, ring):
+    """JW_8 (x) id, at least ``width`` strands wide."""
+    return tensor_with_identity(jones_wenzl(8, ring), max(0, width - 8))
+
+
+def _splice_cases(ring):
+    """(kernel, args, want) against the pairwise products: every d: k -> m
+    with k + m <= 10, as d (x) id on top of JW_8 (x) id and as id (x) d below
+    it; every closure of JW_8 against the one-walk closure; single diagrams
+    on a pair-form morphism (over Q) and on zero morphisms."""
+    cases = []
+    for k, m in SPLICE_HOMS:
+        for d in enumerate_basis(k, m):
+            x = _padded_jw8(k, ring)
+            left = matching_tensor(d, identity_matching(x.top - k))
+            want = _pairwise_compose(as_morphism(left, ring), x)
+            cases.append((apply_matching_left, (left, x), want))
+            x = _padded_jw8(m, ring)
+            right = matching_tensor(identity_matching(x.bottom - m), d)
+            want = _pairwise_compose(x, as_morphism(right, ring))
+            cases.append((apply_matching_right, (right, x), want))
+    jw8 = jones_wenzl(8, ring)
+    for m in range(9):
+        cases.append((partial_close_right, (jw8, m), _partial_close_walk(jw8, m)))
+    others = [TLMorphism.zero(4, 4, ring), TLMorphism.zero(2, 4, ring)]
+    if ring is QQ:
+        basis = enumerate_basis(4, 4)
+        wild = TLMorphism(4, 4, QQ, {
+            mm: Fraction(j + 1, d) for j, (mm, d) in enumerate(zip(basis, WILD_DENS))
+        })
+        assert wild.den is None
+        others.append(wild)
+    for x in others:
+        for m in range(0, 7, 2):
+            for d in enumerate_basis(x.top, m):
+                want = _pairwise_compose(as_morphism(d, ring), x)
+                cases.append((apply_matching_left, (d, x), want))
+            for d in enumerate_basis(m, x.bottom):
+                want = _pairwise_compose(x, as_morphism(d, ring))
+                cases.append((apply_matching_right, (d, x), want))
+    return cases
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeFieldRing(3)], ids=["Q", "F3"])
+def test_splices_match_pairwise_oracle(ring):
+    # JW_8 is defined over F_3 (9 = 3^2), so both rings splice 1 430 terms
+    cases = _splice_cases(ring)
+    assert len(cases) > 1300
+    for kernel, args, want in cases:
+        assert kernel(*args) == want
+    # the same with no product kernel: the splices walk and compose nothing
+    with (
+        mock.patch.object(tl, "compose", side_effect=AssertionError),
+        mock.patch.object(tl, "matching_compose", side_effect=AssertionError),
+    ):
+        for kernel, args, want in cases:
+            assert kernel(*args) == want
+
+
+_FRESH_SPLICES = """
+from wenzl import tl
+from wenzl.tl import enumerate_basis, splice_ints
+
+def audit(ints, a, bottom, top, cup=False):
+    before = set(tl._INTERN)
+    out = splice_ints(ints, a, bottom, top, cup)
+    new = set(tl._INTERN) - before
+    assert new == {m.uid for m in out} - before, (a, cup)
+    for uid in new:  # each new pairing is planar and has the key it is under
+        m = tl._INTERN[uid]
+        p = m.partner
+        assert (m.bottom, m.top, len(p)) == (bottom, top, bottom + top)
+        assert all(p[p[x]] == x != p[x] for x in range(len(p)))
+        assert tl._is_planar(p)
+        assert uid == sum(1 << x for x, y in enumerate(p) if y > x) << tl._SHIFT | bottom
+    assert splice_ints(ints, a, bottom, top, cup) == out
+    assert set(tl._INTERN) - before == new  # the second time, all are found
+    return len(new)
+
+ints = {m: 1 for m in enumerate_basis(6, 6)}
+print(
+    audit(ints, 8, 6, 4),  # a cap on the top
+    audit(ints, 1, 4, 6),  # a cup from below
+    audit(ints, 5, 5, 5),  # the corner: one strand closed
+    audit(ints, 9, 6, 8, cup=True),  # a new top arc
+    audit(ints, 0, 8, 6, cup=True),  # a new bottom arc
+)
+"""
+
+
+def test_splices_intern_exactly_their_new_results():
+    # a fresh process, where only Hom(6, 6) is interned: each splice interns
+    # its results that are new, with partner lists built on the miss, and
+    # nothing else
+    env = dict(os.environ, PYTHONPATH=str(Path(tl.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_SPLICES],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(c) for c in (42, 42, 42, 132, 132)]
 
 
 def test_through_strand_count():

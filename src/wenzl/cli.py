@@ -9,8 +9,8 @@ Size bound: ``jw --n``, ``pjw --n`` and ``verify --max-n`` refuse any n whose
 Hom(n, n) has more than MAX_BASIS = catalan(12) = 208 012 diagrams, that is
 n >= 13, with exit 1 before anything is built.  JW_12 takes seconds and
 about 0.5 GB; each further strand multiplies both by about 3.6.  A negative
-n and a p that is not prime are refused the same way, with an ``error:``
-line.
+n, a ``pjw --n`` below 1 and a p that is not prime are refused the same way,
+with an ``error:`` line.
 
 Hecke bound: ``hecke --n`` and ``--to`` refuse a negative n, and any n above
 MAX_HECKE_N = 2047, the same way; so do a ``--to`` below ``--n``,
@@ -135,6 +135,8 @@ def cmd_jw(args) -> int:
 
 def cmd_pjw(args) -> int:
     _admit(args.n)
+    if args.n < 1:
+        raise ValueError(f"pjw needs --n >= 1, got {args.n}")
     require_prime(args.p)
     dec = rational_pjw(args.n, args.p, GLOBAL_CACHES)
     if args.verify:
@@ -306,7 +308,10 @@ def cmd_render(args) -> int:
     else:
         with open(args.file) as fh:
             payload = fh.read()
-    f = morphism_from_json(payload)
+    try:
+        f = morphism_from_json(payload)
+    except ValueError as exc:
+        raise ValueError(f"render takes a morphism document: {exc}") from None
     if args.format == "tikz":
         _emit(tikz_morphism(f), args.out)
     else:

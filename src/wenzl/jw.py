@@ -15,7 +15,8 @@ count, so construction instead uses the equivalent one-new-strand expansion
 whose right factor has only k terms.  Both produce the same element (the
 test suite checks them against each other and against a brute-force solve of
 the defining linear system); every cache insertion re-verifies the defining
-properties.
+properties by :func:`is_jones_wenzl`: e_i o x == 0 by n - 1 generator scans,
+and x == flip(x) by one pass, which gives x o e_i == 0 (flip fixes each e_i).
 
 Both uses of the expansion, building JW_k and applying it, run on a
 morphism's int numerators through generator rewirings (``tl.rewire_ints``):
@@ -40,10 +41,10 @@ from typing import Optional
 from .rings import NonInvertible, NotPIntegral, PrimeFieldRing, QQ
 from .tl import (
     TLMorphism,
-    bottom_killed_upto,
     catalan,
     compose,
     enumerate_basis,
+    flip_symmetric,
     matching_flip,
     partial_close_right,
     rewire_ints,
@@ -57,21 +58,33 @@ class JWVerificationError(RuntimeError):
 
 
 def is_jones_wenzl(x: TLMorphism, n: int) -> bool:
-    """The defining checks of JW_n: identity coefficient 1 (the cheapest,
-    so first), then e_i o x == 0 and x o e_i == 0 for every 1 <= i < n."""
-    return (
-        x.identity_coefficient() == x.ring.one
-        and top_killed_upto(x, n)
-        and bottom_killed_upto(x, n)
-    )
+    """The defining checks of JW_n: identity coefficient 1, e_i o x == 0 for
+    1 <= i < n (n - 1 scans), and x == flip(x) (one pass), cheapest first.
+
+    flip reverses products and fixes each e_i, so x o e_i == flip(e_i o x)
+    == 0 is recorded without a bottom scan; a value whose bottom bound is
+    known skips the pass.  Over any commutative ring this accepts what the
+    two-sided checks did: with z = flip(x), every non-identity diagram has an
+    adjacent arc on each side, and e_j o x == 0 gives cap_j o x == 0 (snake
+    identity), so z o x == x and z o x == z.
+    """
+    if x.identity_coefficient() != x.ring.one:
+        return False
+    if x._bot_kill < n and not flip_symmetric(x):
+        return False
+    if not top_killed_upto(x, n):
+        return False
+    x._bot_kill = max(x._bot_kill, n)
+    return True
 
 
 class JWCache:
     """Memoized projectors keyed by (ring name, n).
 
-    Every value passes :func:`is_jones_wenzl` before insertion.
-    Re-inserting an equal value is harmless, so concurrent readers and
-    writers only ever see verified entries.
+    Every value passes :func:`is_jones_wenzl` (top scans, and a flip pass
+    that stands for the bottom scans) before insertion.  Re-inserting an
+    equal value is harmless, so concurrent readers and writers only ever see
+    verified entries.
     """
 
     def __init__(self):

@@ -130,30 +130,35 @@ def ascii_morphism(f: TLMorphism, max_terms: int = 24) -> str:
     return "\n".join(blocks)
 
 
+def _coord(v: float) -> str:
+    """v to at most 4 decimals: 0.6 * 1.5 prints as 0.9, not 0.8999999999999999."""
+    return f"{v:.4f}".rstrip("0").rstrip(".")
+
+
 def tikz_matching(m: CrossinglessMatching, height: float = 1.5) -> str:
     n = m.bottom
+    h, low, mid, high = (_coord(t * height) for t in (1, 0.4, 0.5, 0.6))
     lines = ["\\begin{tikzpicture}[scale=0.7]"]
     for i in range(n):
         lines.append(f"  \\fill ({i},0) circle (1.5pt);")
     for j in range(m.top):
-        lines.append(f"  \\fill ({j},{height}) circle (1.5pt);")
+        lines.append(f"  \\fill ({j},{h}) circle (1.5pt);")
     for a, b in m.pairs:
         if b < n:
             lines.append(
-                f"  \\draw ({a},0) .. controls ({a},{0.6 * height}) and "
-                f"({b},{0.6 * height}) .. ({b},0);"
+                f"  \\draw ({a},0) .. controls ({a},{high}) and ({b},{high}) .. ({b},0);"
             )
         elif a >= n:
             ja, jb = _top_position(m, a), _top_position(m, b)
             lines.append(
-                f"  \\draw ({ja},{height}) .. controls ({ja},{0.4 * height}) and "
-                f"({jb},{0.4 * height}) .. ({jb},{height});"
+                f"  \\draw ({ja},{h}) .. controls ({ja},{low}) and "
+                f"({jb},{low}) .. ({jb},{h});"
             )
         else:
             jb = _top_position(m, b)
             lines.append(
-                f"  \\draw ({a},0) .. controls ({a},{0.5 * height}) and "
-                f"({jb},{0.5 * height}) .. ({jb},{height});"
+                f"  \\draw ({a},0) .. controls ({a},{mid}) and "
+                f"({jb},{mid}) .. ({jb},{h});"
             )
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines)

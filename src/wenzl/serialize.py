@@ -103,6 +103,8 @@ def morphism_from_dict(d: dict[str, Any]) -> TLMorphism:
     """
     if not isinstance(d, dict):
         raise ValueError("a morphism must be a JSON object")
+    if "ring" not in d and "total" in d:
+        raise ValueError('got a decomposition document; its "total" is a morphism')
     try:
         ring = ring_by_name(d["ring"])
         bottom, top = int(d["bottom"]), int(d["top"])
@@ -116,7 +118,9 @@ def morphism_from_dict(d: dict[str, Any]) -> TLMorphism:
                 if 2 * len(pairs) != bottom + top:  # before matching() sizes a table
                     raise ValueError(f"{len(pairs)} pairs for {bottom}+{top} points")
                 ratios[matching(bottom, top, pairs)] = parse(t["coeff"])
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"malformed morphism: missing field {exc.args[0]!r}") from exc
+    except TypeError as exc:
         raise ValueError(f"malformed morphism: {exc!r}") from exc
     return TLMorphism.from_ratios(bottom, top, ring, ratios)
 

@@ -79,7 +79,9 @@ from rationals with unrelated denominators keeps lowest-terms pairs instead
 Checks that only ask whether something vanishes build no morphism: the
 generator-annihilation scans test the int sums of each rewiring of x's
 numerators, up to the first sum that is nonzero in the ring.  The scans sum
-under the rewired int keys and look no matching up.
+under the rewired int keys and look no matching up.  The flip-symmetry
+check (:func:`flip_symmetric`) likewise compares numerators under flipped
+keys.
 """
 
 from __future__ import annotations
@@ -1219,3 +1221,28 @@ def bottom_killed_upto(x: TLMorphism, k: int) -> bool:
         return False
     x._bot_kill = max(x._bot_kill, stop)
     return x._bot_kill >= k or k > n
+
+
+def flip_symmetric(x: TLMorphism) -> bool:
+    """True iff x == x.flip(), in one pass over x's terms and no morphism.
+
+    Each term's coefficient is compared with that of its flipped matching,
+    looked up in the intern table by the key :func:`matching_flip` computes
+    (the word complemented, then bit-reversed); a key that is not interned
+    is in no morphism.  A flip keeps the denominator.
+    """
+    n = x.bottom
+    if x.top != n:
+        return False
+    if n == 0:
+        return True  # Hom(0, 0) has the one empty diagram
+    total = 2 * n
+    mask = (1 << total) - 1
+    lead = 1 << total  # bin() prints "0b1", then all total bits
+    nums = x.ints()[0]
+    get, interned = nums.get, _INTERN.get
+    for m, c in nums.items():
+        flipped = int(bin(((m.uid >> _SHIFT) ^ mask) | lead)[:2:-1], 2)
+        if get(interned(flipped << _SHIFT | n), 0) != c:
+            return False
+    return True

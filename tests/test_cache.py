@@ -11,9 +11,10 @@ import pytest
 import wenzl
 from wenzl import cache as cache_module
 from wenzl.cache import CacheIntegrityError, DiskCache
+from wenzl.jw import jones_wenzl
 from wenzl.pjw import rational_pjw, reduce_pjw
 from wenzl.rings import QQ
-from wenzl.tl import TLMorphism
+from wenzl.tl import TLMorphism, matching_flip
 
 
 @pytest.fixture
@@ -36,10 +37,22 @@ def test_tampered_fp_pjw_refused(tmp_path, reduced, p, scale):
         cache.load_morphism("pjw", "Fp:3", p, 7)
 
 
-@pytest.mark.parametrize("value", [TLMorphism.identity(3), TLMorphism.zero(3, 3)])
+def _asymmetric_jw3() -> TLMorphism:
+    """JW_3 with one more unit on a diagram that its flip moves."""
+    nums, den = jones_wenzl(3).ints()
+    m = next(m for m in nums if matching_flip(m) is not m)
+    nums = dict(nums)
+    nums[m] += den
+    return TLMorphism._from_nums(3, 3, QQ, *QQ.canonical(nums, den))
+
+
+@pytest.mark.parametrize(
+    "value", [TLMorphism.identity(3), TLMorphism.zero(3, 3), _asymmetric_jw3()]
+)
 def test_tampered_jw_refused(tmp_path, value):
     # the identity has identity coefficient 1 but e_1 does not kill it; the
-    # zero map is killed by every generator but has identity coefficient 0
+    # zero map is killed by every generator but has identity coefficient 0;
+    # the changed JW_3 has identity coefficient 1 but is not flip-symmetric
     cache = DiskCache(tmp_path)
     cache.store_morphism("jw", 0, 3, value)
     with pytest.raises(CacheIntegrityError, match="defining checks"):

@@ -171,6 +171,25 @@ def test_render_malformed_morphism(doc):
     assert proc.stderr.startswith("error: ")
 
 
+def test_render_names_what_is_wrong(tmp_path, capsys):
+    code, out, _ = run(capsys, "pjw", "--p", "2", "--n", "3", "--format", "json")
+    assert code == 0
+    docs = {
+        "decomposition": out,
+        "no_ring": json.dumps({"bottom": 2, "top": 2, "terms": []}),
+    }
+    errors = {}
+    for name, text in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "render", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: render takes a morphism") and "Error(" not in err
+        errors[name] = err
+    assert "decomposition document" in errors["decomposition"]
+    assert "missing field 'ring'" in errors["no_ring"]
+
+
 def test_verify_quick(capsys):
     code, out, _ = run(capsys, "verify", "--p", "2", "--max-n", "5", "--depth", "quick")
     assert code == 0
@@ -327,6 +346,7 @@ def test_oversized_hecke_n_refused_quickly(argv):
     [(["verify", "--p", "3", "--max-n", "-2"], "natural number"),
      (["jw", "--n", "-1"], "natural number"),
      (["pjw", "--p", "4", "--n", "3"], "p must be prime"),
+     (["pjw", "--p", "2", "--n", "0"], "pjw needs --n >= 1, got 0"),
      (["verify", "--p", "4", "--max-n", "3"], "p must be prime"),
      (["hecke", "lemma", "--p", "4", "--n", "3"], "p must be prime"),
      (["hecke", "lemma", "--p", "2", "--n", "0"], "n=0: p_support requires n >= 1"),
@@ -337,7 +357,7 @@ def test_oversized_hecke_n_refused_quickly(argv):
       "--to 0 is below --n 5"),
      (["hecke", "lemma", "--p", "2", "--n", "5", "--to", "2"], "--to 2 is below --n 5"),
      (["hecke", "pcanonical", "--p", "2", "--n", "1"], "needs --n >= 2")],
-    ids=["verify_negative_n", "jw_negative_n", "pjw_not_prime",
+    ids=["verify_negative_n", "jw_negative_n", "pjw_not_prime", "pjw_zero_n",
          "verify_not_prime", "hecke_not_prime", "hecke_zero_n", "hecke_negative_n",
          "hecke_negative_to", "hecke_adam_n", "hecke_to_zero", "hecke_to_below_n",
          "pcanonical_n_1"],

@@ -1,31 +1,39 @@
 """Jones-Wenzl projectors against the defining linear system and each other."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from wenzl import jw as jw_module
+from wenzl import tl as tl_module
+from wenzl.cache import DiskCache
 from wenzl.jw import (
     JWCache,
     _ladder,
     apply_jw,
     close_jw,
+    is_jones_wenzl,
     jones_wenzl,
     lambda_closure_scalar,
     sandwich_test,
 )
+from wenzl.padic import lucas_jw_defined
 from wenzl.rings import NonInvertible, PrimeFieldRing, QQ
 from wenzl.tl import (
     TLMorphism,
     apply_e_bottom,
     apply_e_top,
     apply_matching_left,
+    bottom_killed_upto,
     compose,
     e_matching,
     enumerate_basis,
     identity_matching,
     markov_trace,
     matching_compose,
+    matching_flip,
     matching_tensor,
     tensor_with_identity,
     top_killed_upto,
@@ -423,3 +431,115 @@ def test_cache_rejects_wrong_value():
     bad = TLMorphism.identity(3)  # not killed by the generators
     with pytest.raises(JWVerificationError):
         cache.insert(QQ, 3, bad)
+
+
+# ---------------------------------------------------------------------------
+# The one-sided check against the two-sided one it replaced.
+# ---------------------------------------------------------------------------
+
+
+def _fresh(x: TLMorphism) -> TLMorphism:
+    """An equal morphism carrying no verified annihilation bound."""
+    return TLMorphism._from_nums(x.bottom, x.top, x.ring, *x.ints())
+
+
+def _is_jones_wenzl_two_sided(x: TLMorphism, n: int) -> bool:
+    """The defining checks read from both sides: identity coefficient 1,
+    then e_i o x == 0 and x o e_i == 0 for every 1 <= i < n, each by a
+    generator scan (on a fresh copy, so x's bounds are neither read nor set)."""
+    x = _fresh(x)
+    return (
+        x.identity_coefficient() == x.ring.one
+        and top_killed_upto(x, n)
+        and bottom_killed_upto(x, n)
+    )
+
+
+def _both_predicates(x: TLMorphism, n: int) -> tuple[bool, bool]:
+    return is_jones_wenzl(_fresh(x), n), _is_jones_wenzl_two_sided(x, n)
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (3, 3), (5, 3), (2, 4)])
+def test_one_sided_check_agrees_on_every_unital_element(p, n, jw_cache):
+    # every element of TL_n over F_p with identity coefficient 1
+    ring = PrimeFieldRing(p)
+    others = [m for m in enumerate_basis(n, n) if not m.is_identity()]
+    ident = identity_matching(n)
+    accepted = []
+    for coeffs in itertools.product(range(p), repeat=len(others)):
+        nums = {m: c for m, c in zip(others, coeffs) if c}
+        nums[ident] = 1
+        x = TLMorphism._from_nums(n, n, ring, nums, 1)
+        one_sided, two_sided = _both_predicates(x, n)
+        assert one_sided == two_sided, nums
+        if one_sided:
+            accepted.append(x)
+    want = [jones_wenzl(n, ring, jw_cache)] if lucas_jw_defined(n, p) else []
+    assert accepted == want
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeFieldRing(2), PrimeFieldRing(3),
+                                  PrimeFieldRing(5)], ids=lambda r: r.name)
+def test_both_checks_accept_jw(ring, jw_cache):
+    for n in range(10):
+        if ring is not QQ and not lucas_jw_defined(n, ring.p):
+            continue
+        assert _both_predicates(jones_wenzl(n, ring, jw_cache), n) == (True, True)
+
+
+def test_both_checks_refuse_a_changed_jw8(jw_cache):
+    jw8 = jones_wenzl(8, QQ, jw_cache)
+    nums, den = jw8.ints()
+    ident = identity_matching(8)
+    asym = next(m for m in nums if matching_flip(m) is not m)
+    sym = next(m for m in nums if m is not ident and matching_flip(m) is m)
+    for m in (ident, asym, sym):
+        changed = dict(nums)
+        changed[m] += den
+        x = TLMorphism._from_nums(8, 8, QQ, *QQ.canonical(changed, den))
+        assert _both_predicates(x, 8) == (False, False), m
+
+
+def test_flip_pass_rejects_on_its_own(monkeypatch):
+    # with the top scans waved through, only the flip pass can refuse
+    monkeypatch.setattr(jw_module, "top_killed_upto", lambda x, k: True)
+    e1e2, _ = matching_compose(e_matching(1, 3), e_matching(2, 3))
+    assert matching_flip(e1e2) is not e1e2
+    asym = TLMorphism.identity(3).add(TLMorphism.from_matching(e1e2))
+    assert asym.identity_coefficient() == QQ.one
+    assert not is_jones_wenzl(asym, 3)
+    assert is_jones_wenzl(TLMorphism.identity(3), 3)  # flip-symmetric
+
+
+@pytest.fixture
+def no_bottom_scans(monkeypatch):
+    """tl.first_unkilled, refusing every bottom scan."""
+    scan = tl_module.first_unkilled
+
+    def top_only(x, start, stop, top=True):
+        if not top:
+            raise AssertionError("bottom generator scan")
+        return scan(x, start, stop, top)
+
+    monkeypatch.setattr(tl_module, "first_unkilled", top_only)
+
+
+def test_projectors_build_and_load_without_bottom_scans(tmp_path, no_bottom_scans):
+    fresh = JWCache()
+    jw9 = jones_wenzl(9, QQ, fresh)
+    assert all(fresh.get(QQ, k) is not None for k in range(1, 10))
+    assert jw9._bot_kill == 9
+    disk = DiskCache(tmp_path)
+    for ring in (QQ, PrimeFieldRing(3)):
+        jw8 = jones_wenzl(8, ring, fresh)
+        disk.store_morphism("jw", 0, 8, jw8)
+        loaded = DiskCache(tmp_path).load_morphism("jw", ring.name, 0, 8)
+        assert loaded == jw8 and loaded._bot_kill == 8
+
+
+def test_inserted_projector_is_bottom_killed_without_a_scan(no_bottom_scans):
+    fresh = JWCache()
+    for n in range(2, 9):
+        jw = jones_wenzl(n, QQ, fresh)
+        assert jw._bot_kill == n
+        assert bottom_killed_upto(jw, n)

@@ -1,6 +1,9 @@
 """Text rendering smoke tests (shape checks, not pixel art)."""
 
-from wenzl.render import ascii_matching, ascii_morphism, tikz_matching
+import re
+
+from wenzl.jw import jones_wenzl
+from wenzl.render import ascii_matching, ascii_morphism, tikz_matching, tikz_morphism
 from wenzl.rings import QQ
 from wenzl.tl import TLMorphism, e_matching, identity_matching, matching
 
@@ -54,3 +57,14 @@ def test_tikz_contains_draws():
     t = tikz_matching(e_matching(1, 2))
     assert t.startswith("\\begin{tikzpicture}")
     assert t.count("\\draw") == 2
+
+
+def test_tikz_coordinates_print_without_float_noise():
+    # 0.6 * 1.5 and 0.4 * 1.5 are 0.8999999999999999 and 0.6000000000000001
+    t = tikz_morphism(jones_wenzl(3))
+    coords = re.findall(r"\((-?[\d.]+),(-?[\d.]+)\)", t)
+    assert coords
+    for x, y in coords:
+        for v in (x, y):
+            assert len(v.partition(".")[2]) <= 4, v
+    assert "(0,0.9)" in t and "(0,0.6)" in t

@@ -35,6 +35,7 @@ from wenzl.tl import (
     bottom_killed_upto,
     enumerate_basis,
     first_unkilled,
+    flip_symmetric,
     halves,
     identity_matching,
     markov_trace,
@@ -347,6 +348,18 @@ def test_flip_key_matches_reversed_partner_oracle():
             assert (y.bottom, y.top, y.partner) == _flip_oracle(x)
             assert y.uid == word_key(y.bottom, y.partner)
             assert matching_flip(y) is x
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeFieldRing(3)], ids=lambda r: r.name)
+def test_flip_symmetric_is_equality_with_the_flip(ring):
+    rng = random.Random(5)
+    for n, m in small_hom_spaces(8):
+        for _ in range(6):
+            f = random_morphism(rng, n, m, ring)
+            assert flip_symmetric(f) == (f.flip() == f), f
+            if n == m:
+                sym = f.add(f.flip())
+                assert flip_symmetric(sym) and sym.flip() == sym
 
 
 _FLIP_MISSES = """

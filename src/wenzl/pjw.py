@@ -56,6 +56,7 @@ from .tl import (
     apply_matching_left,
     compose,
     first_unkilled,
+    flip_symmetric,
     identity_matching,
     markov_trace,
     matching_flip,
@@ -404,7 +405,7 @@ def verify_battery(
     minval = min_p_valuation(nums.values(), den, p)
     add("p_integrality", minval >= 0, "direct", f"min valuation {minval}")
 
-    add("flip_invariant", dec.total.flip() == dec.total, "direct")
+    add("flip_invariant", flip_symmetric(dec.total), "direct")
 
     # Markov closure of the total
     closure = markov_closure(dec)

@@ -99,6 +99,7 @@ def morphism_to_dict(f: TLMorphism) -> dict[str, Any]:
 def morphism_from_dict(d: dict[str, Any]) -> TLMorphism:
     """The morphism of a parsed JSON document; ValueError if it is malformed.
 
+    The arities must be JSON integers, and no diagram may be listed twice.
     The matchings are interned with the cyclic collector paused.
     """
     if not isinstance(d, dict):
@@ -107,7 +108,9 @@ def morphism_from_dict(d: dict[str, Any]) -> TLMorphism:
         raise ValueError('got a decomposition document; its "total" is a morphism')
     try:
         ring = ring_by_name(d["ring"])
-        bottom, top = int(d["bottom"]), int(d["top"])
+        bottom, top = d["bottom"], d["top"]
+        if type(bottom) is not int or type(top) is not int:  # refuses bools too
+            raise ValueError(f"arity {bottom!r}->{top!r} is not two integers")
         if not (0 <= bottom <= MAX_ARITY and 0 <= top <= MAX_ARITY):
             raise ValueError(f"arity {bottom}->{top} outside 0..{MAX_ARITY}")
         parse = ring.parse_ratio
@@ -117,7 +120,10 @@ def morphism_from_dict(d: dict[str, Any]) -> TLMorphism:
                 pairs = t["pairs"]
                 if 2 * len(pairs) != bottom + top:  # before matching() sizes a table
                     raise ValueError(f"{len(pairs)} pairs for {bottom}+{top} points")
-                ratios[matching(bottom, top, pairs)] = parse(t["coeff"])
+                m = matching(bottom, top, pairs)
+                if m in ratios:  # however its pairs are spelled
+                    raise ValueError(f"diagram {m.pairs_json} is listed twice")
+                ratios[m] = parse(t["coeff"])
     except KeyError as exc:
         raise ValueError(f"malformed morphism: missing field {exc.args[0]!r}") from exc
     except TypeError as exc:

@@ -46,9 +46,12 @@ products are summed per cell (lo', hi') and each output matching is joined
 once.  The sum over the middle is reassociated: for each top half of f, the
 g-side is summed over every bottom half of g whose middle product mu has
 the same lo(mu), and one outer product is added per distinct lo(mu), not one
-per pair of halves.  Where mu is the identity on the middle strands (the top
-cell), every bottom half of g falls in one class, so the product is one with
-the Gram matrix of the cell module, taken in the cheap order.
+per pair of halves.  The g side of a pair depends only on lo(g) and hi(mu),
+and few such pairs occur, so each group of g's terms is keyed onto
+hi(g) o hi(mu) once per hi(mu) in a call and then added in as a vector.
+Where mu is the identity on the middle strands (the top cell), every bottom
+half of g falls in one class, so the product is one with the Gram matrix of
+the cell module, taken in the cheap order.
 
 So :func:`compose` is the one product kernel for two combinations.  The
 products with a single diagram and the closures are local, and walk no
@@ -422,21 +425,29 @@ def matching_tensor(
     return _intern(uid, n1 + n2, m1 + m2, res)
 
 
+def _flipped_keys(ms: Iterable[CrossinglessMatching], bottom: int, top: int):
+    """The key of each matching in ms (each bottom -> top) turned upside
+    down: label x becomes total-1-x and each opener a closer, so the Dyck
+    word is complemented, then bit-reversed (``bin`` prints "0b1" and all
+    total bits, read back), and the arity field becomes top.
+    """
+    total = bottom + top
+    mask, lead = (1 << total) - 1, 1 << total
+    for a in ms:
+        yield int(bin((a.uid >> _SHIFT) ^ mask | lead)[:2:-1] or "0", 2) << _SHIFT | top
+
+
 def matching_flip(a: CrossinglessMatching) -> CrossinglessMatching:
     """Turn the diagram upside down (bottom and top swap).
 
-    Label x becomes total-1-x and each opener a closer, so the flipped word
-    is a's word complemented over its total bits, then bit-reversed: the key
-    costs no walk over the labels, and the pairing is built only when new.
+    The key comes from a's key alone (:func:`_flipped_keys`), with no walk
+    over the labels, and the pairing is built only when new.
     """
-    n, m = a.bottom, a.top
-    total = n + m
-    word = (a.uid >> _SHIFT) ^ ((1 << total) - 1)
-    uid = int(f"{word:0{total}b}"[::-1], 2) << _SHIFT | m
-    hit = _INTERN.get(uid)
-    if hit is not None:
-        return hit
-    return _intern(uid, m, n, [total - 1 - y for y in reversed(a.partner)])
+    (uid,) = _flipped_keys((a,), a.bottom, a.top)
+    total = a.bottom + a.top
+    return _INTERN.get(uid) or _intern(
+        uid, a.top, a.bottom, [total - 1 - y for y in reversed(a.partner)]
+    )
 
 
 def halves(
@@ -715,7 +726,11 @@ class TLMorphism:
 
     def flip(self) -> "TLMorphism":
         nums, den = self.ints()
-        out = {matching_flip(m): c for m, c in nums.items()}
+        keys = _flipped_keys(nums, self.bottom, self.top)
+        out = {
+            _INTERN.get(uid) or matching_flip(m): c
+            for (m, c), uid in zip(nums.items(), keys)
+        }
         res = TLMorphism._from_nums(self.top, self.bottom, self.ring, out, den)
         res._top_kill, res._bot_kill = self._bot_kill, self._top_kill
         return res
@@ -770,6 +785,8 @@ def compose(g: TLMorphism, f: TLMorphism) -> TLMorphism:
     summed onto lo' = lo(mu) o lo(mf) once per nonzero row, and the outer
     product of the two is added to the cells (lo', hi').  Each nonzero cell
     is joined into its output matching hi' o lo' exactly once.
+    A g-group lg's vector {hi': summed coefficient} depends only on lg and
+    hi(mu), so it is keyed once per (lg, hi(mu)) in a call and kept.
     """
     if f.top != g.bottom:
         raise ValueError(f"arity mismatch: {f}.top != {g}.bottom")
@@ -787,6 +804,8 @@ def compose(g: TLMorphism, f: TLMorphism) -> TLMorphism:
     for mg, c in g_nums.items():
         lo, hi = mg._halves or halves(mg)
         g_by_lo.setdefault(lo, []).append((hi, c))
+    # each g-group with its keyed vectors: hi(mu) -> {hi(mg) o hi(mu): sum}
+    g_groups = [(lg, gs, {}) for lg, gs in g_by_lo.items()]
     # cells[lo'][hi'] sums u * v for the loop-free join hi' o lo'.  A join
     # through s strands determines its halves (lo' == lo(join), hi' ==
     # hi(join)), so (lo', hi') -> hi' o lo' is injective: no two cells meet
@@ -796,16 +815,23 @@ def compose(g: TLMorphism, f: TLMorphism) -> TLMorphism:
         # sums[lo(mu)][hi'] sums (-2)^r * v over every g-group lg whose
         # product mu = lg o hf has that bottom half
         sums: dict = {}
-        for lg, gs in g_by_lo.items():
+        for lg, gs, keyed in g_groups:
             mu, r = mc(lg, hf)  # the one boundary walk of this pair of halves
             mu_lo, mu_hi = mu._halves or halves(mu)
+            vec = keyed.get(mu_hi)
+            if vec is None:  # first (lg, hi(mu)) of this call: key the group once
+                vec = {}
+                for hi, v in gs:
+                    key = mc(hi, mu_hi)[0]
+                    prev = vec.get(key)
+                    vec[key] = v if prev is None else prev + v
+                vec = keyed[mu_hi] = {key: v for key, v in vec.items() if v}
             w = pw[r]
             row_sums = sums.get(mu_lo)
             if row_sums is None:
                 row_sums = sums[mu_lo] = {}
             get = row_sums.get
-            for hi, v in gs:
-                key = mc(hi, mu_hi)[0]
+            for key, v in vec.items():
                 prev = get(key)
                 row_sums[key] = w * v if prev is None else prev + w * v
         # one outer product lows (x) highs per distinct lo(mu)
@@ -1227,22 +1253,16 @@ def flip_symmetric(x: TLMorphism) -> bool:
     """True iff x == x.flip(), in one pass over x's terms and no morphism.
 
     Each term's coefficient is compared with that of its flipped matching,
-    looked up in the intern table by the key :func:`matching_flip` computes
-    (the word complemented, then bit-reversed); a key that is not interned
-    is in no morphism.  A flip keeps the denominator.
+    looked up in the intern table by its flipped key (:func:`_flipped_keys`);
+    a key that is not interned is in no morphism.  A flip keeps the
+    denominator.
     """
     n = x.bottom
     if x.top != n:
         return False
-    if n == 0:
-        return True  # Hom(0, 0) has the one empty diagram
-    total = 2 * n
-    mask = (1 << total) - 1
-    lead = 1 << total  # bin() prints "0b1", then all total bits
     nums = x.ints()[0]
     get, interned = nums.get, _INTERN.get
-    for m, c in nums.items():
-        flipped = int(bin(((m.uid >> _SHIFT) ^ mask) | lead)[:2:-1], 2)
-        if get(interned(flipped << _SHIFT | n), 0) != c:
+    for c, uid in zip(nums.values(), _flipped_keys(nums, n, n)):
+        if get(interned(uid), 0) != c:
             return False
     return True

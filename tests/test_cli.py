@@ -177,6 +177,10 @@ def test_render_names_what_is_wrong(tmp_path, capsys):
     docs = {
         "decomposition": out,
         "no_ring": json.dumps({"bottom": 2, "top": 2, "terms": []}),
+        "repeated": json.dumps({"bottom": 2, "top": 2, "ring": "Q", "terms": [
+            {"pairs": [[0, 1], [2, 3]], "coeff": "1/2"},
+            {"pairs": [[1, 0], [3, 2]], "coeff": "-1/2"},
+        ]}),
     }
     errors = {}
     for name, text in docs.items():
@@ -188,6 +192,7 @@ def test_render_names_what_is_wrong(tmp_path, capsys):
         errors[name] = err
     assert "decomposition document" in errors["decomposition"]
     assert "missing field 'ring'" in errors["no_ring"]
+    assert "diagram [[0, 1], [2, 3]] is listed twice" in errors["repeated"]
 
 
 def test_verify_quick(capsys):

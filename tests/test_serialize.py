@@ -262,6 +262,15 @@ _ID2 = [[0, 3], [1, 2]]
         {"bottom": 2, "top": 2, "ring": "Q", "terms": [{"pairs": [[0, 2], [1, 3]], "coeff": "1"}]},
         {"bottom": 2, "top": 2, "ring": "Q", "terms": [{"pairs": [[0, 3.0], [1, 2]], "coeff": "1"}]},
         {"bottom": 2, "top": 2, "ring": "Q", "terms": [{"pairs": [[3.0, 0], [1, 2]], "coeff": "1"}]},
+        {"bottom": 2, "top": 2, "ring": "Q",
+         "terms": [{"pairs": [[0, 1], [2, 3]], "coeff": "1/2"},
+                   {"pairs": [[0, 1], [2, 3]], "coeff": "-1/2"}]},
+        {"bottom": 2, "top": 2, "ring": "Q",
+         "terms": [{"pairs": [[0, 1], [2, 3]], "coeff": "1/2"},
+                   {"pairs": [[1, 0], [3, 2]], "coeff": "-1/2"}]},
+        {"bottom": 2.5, "top": 2, "ring": "Q", "terms": []},
+        {"bottom": "2", "top": 2, "ring": "Q", "terms": []},
+        {"bottom": 2, "top": True, "ring": "Q", "terms": []},
         [{"pairs": _ID2, "coeff": "1"}],
         "morphism",
     ],
@@ -269,7 +278,8 @@ _ID2 = [[0, 3], [1, 2]]
          "ring_not_a_name", "pairs_not_a_list", "terms_not_a_list", "negative_arity",
          "pairs_short_of_arity", "arity_over_key_bound", "duplicate_pair_keys_smaller_arity",
          "crossing_twin_of_interned", "float_upper_label", "float_lower_label",
-         "top_level_array", "top_level_string"],
+         "repeated_diagram", "repeated_diagram_reversed_pairs", "float_arity",
+         "string_arity", "bool_arity", "top_level_array", "top_level_string"],
 )
 def test_morphism_from_dict_refuses_malformed(doc):
     # intern the matchings whose keys the malformed pair lists share: a

@@ -385,6 +385,10 @@ for n in range(13):
         assert {matching_flip(x) for x in enumerate_basis(n, m)} == set(
             enumerate_basis(m, n)
         )
+# a morphism's flip builds its missing matchings too (Hom(12, 2) is new)
+f = tl.TLMorphism(2, 12, tl.QQ, {x: tl.QQ.one for x in enumerate_basis(2, 12)})
+g = f.flip()
+assert set(g.ints()[0]) == set(enumerate_basis(12, 2)) and g.flip() == f
 print(flips)
 """
 
@@ -483,6 +487,54 @@ def _cell_compose(g, f):
                 for hi, v in highs.items():
                     if v:
                         row[hi] = row.get(hi, 0) + u * pw[r] * v
+    out = {}
+    for lo, row in cells.items():
+        for hi, c in ring.canonical(row, 1)[0].items():
+            out[mc(hi, lo)[0]] = c
+    return TLMorphism._from_nums(
+        f.bottom, g.top, ring, *ring.canonical(out, f_den * g_den)
+    )
+
+
+def _reassociated_compose(g, f):
+    """g after f with one outer product per lo(mu), keying each g-term onto
+    hi(mg) o hi(mu) once per pair of an f-group and a g-group: the kernel
+    before the g side was keyed once per (lo(g), hi(mu))."""
+    ring = f.ring
+    (f_nums, f_den), (g_nums, g_den) = f.ints(), g.ints()
+    pw = tl._loop_powers(f.top // 2)
+    mc = tl.matching_compose
+    f_by_hi, g_by_lo = {}, {}
+    for mf, c in f_nums.items():
+        lo, hi = tl.halves(mf)
+        f_by_hi.setdefault(hi, []).append((lo, c))
+    for mg, c in g_nums.items():
+        lo, hi = tl.halves(mg)
+        g_by_lo.setdefault(lo, []).append((hi, c))
+    cells = {}
+    for hf, fs in f_by_hi.items():
+        sums = {}
+        for lg, gs in g_by_lo.items():
+            mu, r = mc(lg, hf)
+            mu_lo, mu_hi = tl.halves(mu)
+            row_sums = sums.setdefault(mu_lo, {})
+            for hi, v in gs:
+                key = mc(hi, mu_hi)[0]
+                row_sums[key] = row_sums.get(key, 0) + pw[r] * v
+        for mu_lo, row_sums in sums.items():
+            highs = [(hi, v) for hi, v in row_sums.items() if v]
+            if not highs:
+                continue
+            lows = {}
+            for lo, c in fs:
+                key = mc(mu_lo, lo)[0]
+                lows[key] = lows.get(key, 0) + c
+            for lo, u in lows.items():
+                if not u:
+                    continue
+                row = cells.setdefault(lo, {})
+                for hi, v in highs:
+                    row[hi] = row.get(hi, 0) + u * v
     out = {}
     for lo, row in cells.items():
         for hi, c in ring.canonical(row, 1)[0].items():
@@ -605,13 +657,24 @@ def _counted(kernel, g, f):
 @pytest.mark.parametrize("case", list(BATTERY_PRODUCTS))
 def test_compose_matches_cell_oracle(case):
     # the same product with no more memo lookups and no more boundary walks
-    # than one outer product per pair of halves: a work count, not a timing
+    # than either earlier kernel: a work count, not a timing
     for g, f in BATTERY_PRODUCTS[case]():
         new, new_counts = _counted(compose, g, f)
-        old, old_counts = _counted(_cell_compose, g, f)
-        assert new == old
-        assert new_counts["calls"] <= old_counts["calls"]
-        assert new_counts["walks"] <= old_counts["walks"]
+        for oracle in (_cell_compose, _reassociated_compose):
+            old, old_counts = _counted(oracle, g, f)
+            assert new == old, oracle.__name__
+            assert new_counts["calls"] <= old_counts["calls"], oracle.__name__
+            assert new_counts["walks"] <= old_counts["walks"], oracle.__name__
+
+
+def test_compose_keys_each_g_group_once_per_middle_top_half():
+    # JW_9 squared: the g side is keyed once per (lo(g), hi(mu)), not once
+    # per pair of an f-group and a g-group
+    x = jones_wenzl(9, QQ)
+    new, new_counts = _counted(compose, x, x)
+    old, old_counts = _counted(_reassociated_compose, x, x)
+    assert new == old == x
+    assert 10 * new_counts["calls"] <= old_counts["calls"], (new_counts, old_counts)
 
 
 def _scalars(ring):

@@ -98,6 +98,16 @@ def _emit(text: str, out_path: str | None) -> None:
         print(text)
 
 
+def _emit_morphism(f, fmt: str, out_path: str | None, notes=()) -> None:
+    """f as indented JSON, as TikZ, or as ASCII art followed by ``notes``."""
+    if fmt == "json":
+        _emit(morphism_to_json(f, indent=2), out_path)
+    elif fmt == "tikz":
+        _emit(tikz_morphism(f), out_path)
+    else:
+        _emit("\n".join([ascii_morphism(f), *notes]), out_path)
+
+
 def _disk_cache(args) -> DiskCache | None:
     path = getattr(args, "cache_dir", None) or default_cache_dir()
     return DiskCache(path) if path else None
@@ -119,17 +129,13 @@ def cmd_jw(args) -> int:
             return EXIT_UNDEFINED
         if disk is not None:
             disk.store_morphism("jw", p, args.n, value)
-    if args.format == "json":
-        _emit(morphism_to_json(value, indent=2), args.out)
-    elif args.format == "tikz":
-        _emit(tikz_morphism(value), args.out)
-    else:
-        lines = [ascii_morphism(value)]
-        lines.append(f"terms: {len(value.terms)}")
+    notes = []
+    if args.format == "text":
+        notes.append(f"terms: {len(value.terms)}")
         if ring is QQ:
             maxden = max((c.denominator for _, c in value.items()), default=1)
-            lines.append(f"max denominator: {maxden}")
-        _emit("\n".join(lines), args.out)
+            notes.append(f"max denominator: {maxden}")
+    _emit_morphism(value, args.format, args.out, notes)
     return EXIT_OK
 
 
@@ -145,19 +151,11 @@ def cmd_pjw(args) -> int:
             for c in report.failures():
                 print(c.line(), file=sys.stderr)
             return EXIT_VERIFY
-    if args.ring == "fp":
-        reduced = reduce_pjw(dec)
-        if args.format == "json":
-            _emit(morphism_to_json(reduced, indent=2), args.out)
-        elif args.format == "tikz":
-            _emit(tikz_morphism(reduced), args.out)
-        else:
-            _emit(ascii_morphism(reduced), args.out)
-        return EXIT_OK
-    if args.format == "json":
+    if args.ring == "fp" or args.format == "tikz":
+        total = reduce_pjw(dec) if args.ring == "fp" else dec.total
+        _emit_morphism(total, args.format, args.out)
+    elif args.format == "json":
         _emit(decomposition_to_json(dec, indent=2), args.out)
-    elif args.format == "tikz":
-        _emit(tikz_morphism(dec.total), args.out)
     else:
         lam = ", ".join(f"{i}: {t.lam}" for i, t in sorted(dec.terms.items()))
         nums, den = dec.total.ints()
@@ -312,10 +310,7 @@ def cmd_render(args) -> int:
         f = morphism_from_json(payload)
     except ValueError as exc:
         raise ValueError(f"render takes a morphism document: {exc}") from None
-    if args.format == "tikz":
-        _emit(tikz_morphism(f), args.out)
-    else:
-        _emit(ascii_morphism(f), args.out)
+    _emit_morphism(f, args.format, args.out)
     return EXIT_OK
 
 

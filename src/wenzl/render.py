@@ -115,19 +115,24 @@ def ascii_matching(m: CrossinglessMatching) -> str:
     return "\n".join("".join(row).rstrip() for row in grid)
 
 
+def _listing(f: TLMorphism, max_terms: int, head: str, more: str, block) -> str:
+    """``head`` filled with f's arity, ring and term count, then block(m,
+    coefficient text) for each of f's first max_terms terms in ``partner``
+    order, then ``more`` filled with the count of the rest, if any."""
+    ms = sorted(f.terms, key=lambda mm: mm.partner)
+    lines = [head.format(f"{f.bottom}->{f.top} over {f.ring.name}, {len(ms)} term(s)")]
+    for m in ms[:max_terms]:
+        lines += block(m, f.ring.format(f.coefficient(m)))
+    if len(ms) > max_terms:
+        lines.append(more.format(len(ms) - max_terms))
+    return "\n".join(lines)
+
+
 def ascii_morphism(f: TLMorphism, max_terms: int = 24) -> str:
     if f.is_zero():
         return f"0  ({f.bottom}->{f.top} over {f.ring.name})"
-    blocks = [f"{f.bottom}->{f.top} over {f.ring.name}, {len(f.terms)} term(s):"]
-    shown = 0
-    for m in sorted(f.terms, key=lambda mm: mm.partner):
-        if shown >= max_terms:
-            blocks.append(f"... ({len(f.terms) - shown} more terms)")
-            break
-        blocks.append(f"coeff {f.ring.format(f.coefficient(m))}:")
-        blocks.append(ascii_matching(m))
-        shown += 1
-    return "\n".join(blocks)
+    return _listing(f, max_terms, "{}:", "... ({} more terms)",
+                    lambda m, c: [f"coeff {c}:", ascii_matching(m)])
 
 
 def _coord(v: float) -> str:
@@ -165,13 +170,5 @@ def tikz_matching(m: CrossinglessMatching, height: float = 1.5) -> str:
 
 
 def tikz_morphism(f: TLMorphism, max_terms: int = 12) -> str:
-    parts = [f"% {f.bottom}->{f.top} over {f.ring.name}, {len(f.terms)} term(s)"]
-    shown = 0
-    for m in sorted(f.terms, key=lambda mm: mm.partner):
-        if shown >= max_terms:
-            parts.append(f"% ... ({len(f.terms) - shown} more terms)")
-            break
-        parts.append(f"% coefficient {f.ring.format(f.coefficient(m))}")
-        parts.append(tikz_matching(m))
-        shown += 1
-    return "\n".join(parts)
+    return _listing(f, max_terms, "% {}", "% ... ({} more terms)",
+                    lambda m, c: [f"% coefficient {c}", tikz_matching(m)])

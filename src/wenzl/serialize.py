@@ -171,11 +171,25 @@ def hecke_to_dict(x: HeckeElement) -> dict[str, Any]:
 
 
 def hecke_from_dict(d: dict[str, Any]) -> HeckeElement:
+    """The Hecke element of a parsed JSON document; ValueError if it is
+    malformed.  Lengths and coefficients must be JSON integers, and no
+    length or exponent may be listed twice."""
     terms = {}
-    for t in d["terms"]:
-        poly = LaurentPoly({int(e): int(c) for e, c in t["coeff"].items()})
-        if poly:
-            terms[int(t["k"])] = poly
+    try:
+        for t in d["terms"]:
+            k, coeff = t["k"], t["coeff"]
+            if type(k) is not int or any(type(c) is not int for c in coeff.values()):
+                raise ValueError(f"term {t!r} has a non-integer length or coefficient")
+            if k in terms:
+                raise ValueError(f"word length {k} is listed twice")
+            poly = {int(e): c for e, c in coeff.items()}
+            if len(poly) != len(coeff):
+                raise ValueError(f"an exponent of b{k} is listed twice")
+            terms[k] = LaurentPoly(poly)
+    except KeyError as exc:
+        raise ValueError(f"malformed Hecke element: missing field {exc.args[0]!r}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed Hecke element: {exc!r}") from exc
     return HeckeElement(terms)
 
 

@@ -60,13 +60,18 @@ boundary.  A generator e_i rewires two labels in place
 boundary labels (:func:`splice_ints`): a contraction joins the strands
 ending there and deletes both labels (a cap or cup taken from a diagram, or
 the corner that closes one strand around the right side), and an insertion
-adds a new arc.  So :func:`apply_matching_left` and
-:func:`apply_matching_right` contract d's arcs that meet x, innermost first,
-then insert d's far arcs; :func:`partial_close_right` is m corner
-contractions.  Each splice takes a term's key to its result's key in O(1).
-The Markov trace, the closure of all strands, always lands on the empty
-diagram, so it needs no splices: each matching's closure loop count is
-walked once and kept, and a trace is one sum over the terms.
+adds a new arc.  So :func:`apply_matching_left` contracts d's arcs that
+meet x, innermost first, then inserts d's far arcs; :func:`partial_close_right`
+is m corner contractions.  Each splice takes a term's key to its result's
+key in O(1).  The Markov trace, the closure of all strands, always lands on
+the empty diagram, so it needs no splices: each matching's closure loop
+count is walked once and kept, and a trace is one sum over the terms.
+
+Each single-diagram kernel is written for one side.  The flip reverses
+products and fixes every e_i, so a bottom-side step is the flip of the
+top-side one: :func:`apply_matching_right` is :func:`apply_matching_left`
+between flips, and :func:`bottom_killed_upto` runs the top scans on flip(x).
+:func:`apply_e_bottom` is the one rewiring kernel at bottom labels.
 
 A morphism holds int numerators over one denominator ``den``, in the
 canonical form of rings.py: den > 0 is coprime to the numerators taken
@@ -319,9 +324,9 @@ def matching_compose(
 ) -> tuple[CrossinglessMatching, int]:
     """Stack g on top of f; return (resulting matching, removed loop count).
 
-    Results are memoized, because composition pairs recur heavily: in
-    single-diagram scans, and in :func:`compose` as pairs of middle halves,
-    the half products around them and the loop-free joins hi o lo.  The
+    Results are memoized, because composition pairs recur heavily in
+    :func:`compose`, its only caller: as pairs of middle halves, the half
+    products around them and the loop-free joins hi o lo.  The
     memo holds no container of its own per entry: keys are pairs of uids
     (the structural int keys, which hash without a Python call) and values
     are the interned result matchings, so millions of entries add nothing
@@ -903,31 +908,11 @@ def apply_matching_left(
 def apply_matching_right(
     d: CrossinglessMatching, x: TLMorphism, scalar=None
 ) -> TLMorphism:
-    """scalar * (x o d) for a single matching d, by boundary splices.
-
-    The mirror of :func:`apply_matching_left` on x's bottom: d's top arcs
-    are contracted innermost first, walking x's bottom labels upward, then
-    d's bottom arcs are inserted in increasing label order.
-    """
+    """scalar * (x o d) for a single matching d: the flip of
+    scalar * (flip(d) o flip(x)), by :func:`apply_matching_left`."""
     if d.top != x.bottom:
         raise ValueError(f"arity mismatch: {d}.top != {x}.bottom")
-    kb, k = d.bottom, x.top
-    pd = d.partner
-    nums, den = x.ints()
-    bottom = x.bottom
-    s = 0  # x's bottom points passed and not yet contracted
-    for y in range(kb + bottom - 1, kb - 1, -1):
-        if pd[y] > y:  # a top arc's left end, next to its right end at s-1
-            s -= 1
-            bottom -= 2
-            nums = splice_ints(nums, s, bottom, k)
-        else:
-            s += 1
-    for y in range(kb):
-        if y < pd[y] < kb:  # an arc opens at d's bottom label y
-            bottom += 2
-            nums = splice_ints(nums, y, bottom, k, cup=True)
-    return _morphism_of_sums(x.ring, bottom, k, nums, den, scalar)
+    return apply_matching_left(matching_flip(d), x.flip(), scalar).flip()
 
 
 def tensor_with_identity(x: TLMorphism, m: int) -> TLMorphism:
@@ -1172,8 +1157,8 @@ def splice_ints(
 # ---------------------------------------------------------------------------
 
 
-def first_unkilled(x: TLMorphism, start: int, stop: int, top: bool = True) -> int:
-    """The first i in [start, stop) with e_i o x != 0 (x o e_i on the bottom).
+def first_unkilled(x: TLMorphism, start: int, stop: int) -> int:
+    """The first i in [start, stop) with e_i o x != 0.
 
     Returns stop when every generator in the range kills x.  Each e_i is
     tested on the int sums of the rewiring of x's numerators, which
@@ -1195,8 +1180,8 @@ def first_unkilled(x: TLMorphism, start: int, stop: int, top: bool = True) -> in
     bit = _BIT
     edge = x.bottom + x.top  # top position i-1 has label edge-i
     for i in range(start, stop):
-        la, lb = (edge - i, edge - i - 1) if top else (i - 1, i)
-        ab, close_ab = bit[la] | bit[lb], bit[max(la, lb)]
+        la, lb = edge - i, edge - i - 1
+        ab, close_ab = bit[la] | bit[lb], bit[la]
         sums: dict = {}
         get = sums.get
         for pm, uid, c in zip(partners, uids, coeffs):
@@ -1225,7 +1210,7 @@ def top_killed_upto(x: TLMorphism, k: int) -> bool:
         return True
     n = x.top
     stop = min(k, n)
-    first = first_unkilled(x, x._top_kill, stop, top=True)
+    first = first_unkilled(x, x._top_kill, stop)
     if first < stop:
         x._top_kill = first
         return False
@@ -1234,19 +1219,14 @@ def top_killed_upto(x: TLMorphism, k: int) -> bool:
 
 
 def bottom_killed_upto(x: TLMorphism, k: int) -> bool:
-    """Verify x o e_i == 0 for every 1 <= i < k."""
-    if x.bottom == 0 and x.top == 0:
-        return True
+    """Verify x o e_i == 0 for every 1 <= i < k: the top scans of flip(x),
+    whose bound is copied back to x."""
     if x._bot_kill >= k:
         return True
-    n = x.bottom
-    stop = min(k, n)
-    first = first_unkilled(x, x._bot_kill, stop, top=False)
-    if first < stop:
-        x._bot_kill = first
-        return False
-    x._bot_kill = max(x._bot_kill, stop)
-    return x._bot_kill >= k or k > n
+    y = x.flip()
+    killed = top_killed_upto(y, k)
+    x._bot_kill = y._top_kill
+    return killed
 
 
 def flip_symmetric(x: TLMorphism) -> bool:

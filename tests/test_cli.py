@@ -13,7 +13,8 @@ import wenzl
 from wenzl import cli
 from wenzl.cli import main
 from wenzl.jw import JWVerificationError, jones_wenzl
-from wenzl.pjw import PJWIntegrityError
+from wenzl.pjw import GLOBAL_CACHES, PJWIntegrityError, rational_pjw, reduce_pjw
+from wenzl.render import ascii_morphism, tikz_morphism
 from wenzl.rings import QQ
 from wenzl.tl import TLMorphism, catalan, e_matching, identity_matching
 
@@ -101,6 +102,19 @@ def test_pjw_fp_reduction(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["ring"] == "Fp:3"
+
+
+def test_jw_tikz_is_the_rendered_projector(capsys):
+    code, out, _ = run(capsys, "jw", "--n", "3", "--format", "tikz")
+    assert code == 0
+    assert out == tikz_morphism(jones_wenzl(3, QQ)) + "\n"
+
+
+@pytest.mark.parametrize("fmt,draw", [("text", ascii_morphism), ("tikz", tikz_morphism)])
+def test_pjw_fp_picture_is_the_rendered_reduction(capsys, fmt, draw):
+    code, out, _ = run(capsys, "pjw", "--p", "3", "--n", "5", "--ring", "fp", "--format", fmt)
+    assert code == 0
+    assert out == draw(reduce_pjw(rational_pjw(5, 3, GLOBAL_CACHES))) + "\n"
 
 
 def test_pjw_json_export(capsys):

@@ -513,15 +513,13 @@ def test_flip_pass_rejects_on_its_own(monkeypatch):
 
 @pytest.fixture
 def no_bottom_scans(monkeypatch):
-    """tl.first_unkilled, refusing every bottom scan."""
-    scan = tl_module.first_unkilled
+    """Refuse every bottom scan: bottom_killed_upto, and the flip it scans."""
 
-    def top_only(x, start, stop, top=True):
-        if not top:
-            raise AssertionError("bottom generator scan")
-        return scan(x, start, stop, top)
+    def refuse(*args, **kwargs):
+        raise AssertionError("bottom generator scan")
 
-    monkeypatch.setattr(tl_module, "first_unkilled", top_only)
+    monkeypatch.setattr(tl_module, "bottom_killed_upto", refuse)
+    monkeypatch.setattr(tl_module.TLMorphism, "flip", refuse)
 
 
 def test_projectors_build_and_load_without_bottom_scans(tmp_path, no_bottom_scans):

@@ -68,3 +68,20 @@ def test_tikz_coordinates_print_without_float_noise():
         for v in (x, y):
             assert len(v.partition(".")[2]) <= 4, v
     assert "(0,0.9)" in t and "(0,0.6)" in t
+
+
+def test_long_morphisms_are_cut_after_max_terms(jw_cache):
+    # JW_5 has 42 terms: ASCII shows 24 of them and TikZ 12, in partner order
+    jw5 = jones_wenzl(5, QQ, jw_cache)
+    assert len(jw5.terms) == 42
+    first = min(jw5.terms, key=lambda m: m.partner)
+    art = ascii_morphism(jw5).split("\n")
+    assert art[0] == "5->5 over Q, 42 term(s):"
+    assert art[1] == f"coeff {QQ.format(jw5.coefficient(first))}:"
+    assert sum(line.startswith("coeff ") for line in art) == 24
+    assert art[-1] == "... (18 more terms)"
+    tikz = tikz_morphism(jw5).split("\n")
+    assert tikz[0] == "% 5->5 over Q, 42 term(s)"
+    assert tikz.count("\\begin{tikzpicture}[scale=0.7]") == 12
+    assert sum(line.startswith("% coefficient ") for line in tikz) == 12
+    assert tikz[-1] == "% ... (30 more terms)"

@@ -242,6 +242,29 @@ def test_hecke_roundtrip():
     assert hecke_from_json(hecke_to_json(x)) == x
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"terms": [{"k": 1, "coeff": {"0": 1}}, {"k": 1, "coeff": {"0": 2}}]}',
+        '{"terms": [{"k": 1.7, "coeff": {"0": 1}}]}',
+        '{"terms": [{"k": true, "coeff": {"0": 1}}]}',
+        '{"terms": [{"k": 1, "coeff": {"0": 1.9}}]}',
+        "[1]",
+        '{"terms": [{"k": 1}]}',
+    ],
+    ids=["repeated_k", "float_k", "bool_k", "float_coeff", "top_level_array",
+         "missing_coeff"],
+)
+def test_hecke_from_json_refuses_malformed(doc):
+    with pytest.raises(ValueError):
+        hecke_from_json(doc)
+
+
+def test_hecke_from_json_refuses_an_exponent_spelled_twice():
+    with pytest.raises(ValueError):
+        hecke_from_json('{"terms": [{"k": 1, "coeff": {"0": 1, "00": 2}}]}')
+
+
 _ID2 = [[0, 3], [1, 2]]
 
 

@@ -147,7 +147,7 @@ def jones_wenzl(n: int, ring=QQ, cache: Optional[JWCache] = None) -> TLMorphism:
             prev = jones_wenzl(k - 1, ring, cache)
         # k x + sum_j j (x o e_{k-1} ... e_j) over k den, x = JW_{k-1} (x) id
         x, den = tensor_with_identity(prev, 1).ints()
-        acc = _add_scaled({}, k, x)
+        acc = {m: k * c for m, c in x.items()}
         t = x
         for j in range(k - 1, 0, -1):
             t = rewire_ints(t, j - 1, j)  # t o e_j
@@ -183,6 +183,8 @@ def apply_jw(
     JW_k exists over F_p, so over F_p only the direct path is exact; it
     raises NonInvertible when JW_k is undefined there.
     """
+    if k < 0 or pad < 0:
+        raise ValueError(f"apply_jw: negative strand count (k={k}, pad={pad})")
     if x.top != k + pad:
         raise ValueError(f"apply_jw: expected top {k + pad}, got {x.top}")
     if k <= 1 or x.is_zero():

@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import lcm
 from typing import Optional
 
 from .padic import p_adic_expansion, p_support
@@ -255,9 +256,20 @@ def rational_pjw(
         term_minus.u = _build_u(term_minus, caches)
         terms[minus_i] = term_minus
 
-    total = TLMorphism.zero(n, n)
+    # sum_i lam_i u_i as one int sum over a common denominator
+    scaled = []
     for i in sorted(terms):
-        total = total.add(terms[i].u.scale(terms[i].lam))
+        term = terms[i]
+        nums, den = term.u.ints()
+        scaled.append((nums, term.lam.numerator, den * term.lam.denominator))
+    common = lcm(*(d for _, _, d in scaled))
+    sums: dict = {}
+    get = sums.get
+    for nums, a, d in scaled:
+        a *= common // d
+        for mm, c in nums.items():
+            sums[mm] = get(mm, 0) + a * c
+    total = TLMorphism._from_nums(n, n, QQ, *QQ.canonical(sums, common))
     dec = PJWDecomposition(n, p, terms, total)
     caches.pjw[(p, n)] = dec
     return dec

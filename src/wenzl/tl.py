@@ -21,9 +21,11 @@ openers (the labels paired to a higher label), so its Dyck word, one bit per
 label, together with ``bottom`` identifies it.  Every walk that builds a
 matching sets the word's bits as it pairs labels and builds the partner
 tuple only when the key is new.  A generator rewiring changes at most four
-bits and a splice of two adjacent labels drops or inserts two and sets
-one more, so their result keys cost O(1); a flip's key is the word
-complemented and bit-reversed, so it walks no labels either.  All values
+bits, a splice of two adjacent labels drops or inserts two and sets one
+more, and padding with m identity strands inserts 2m bits and sets m, so
+their result keys cost O(1); a flip's key is the word complemented and
+bit-reversed (a byte-table lookup per 8 labels), so it walks no labels
+either.  All values
 are immutable; re-inserting an equal matching into the intern table is
 harmless, so the table tolerates concurrent use.
 
@@ -63,7 +65,9 @@ the corner that closes one strand around the right side), and an insertion
 adds a new arc.  So :func:`apply_matching_left` contracts d's arcs that
 meet x, innermost first, then inserts d's far arcs; :func:`partial_close_right`
 is m corner contractions.  Each splice takes a term's key to its result's
-key in O(1).  The Markov trace, the closure of all strands, always lands on
+key in O(1).  :func:`tensor_with_identity`, the padding JW_k (x) id of the
+projector recursion, puts all m new strands in with one such key insertion
+per term.  The Markov trace, the closure of all strands, always lands on
 the empty diagram, so it needs no splices: each matching's closure loop
 count is walked once and kept, and a trace is one sum over the terms.
 
@@ -430,16 +434,27 @@ def matching_tensor(
     return _intern(uid, n1 + n2, m1 + m2, res)
 
 
+# each byte value with its 8 bits in reverse order
+_REVERSED_BYTES = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
+
+
 def _flipped_keys(ms: Iterable[CrossinglessMatching], bottom: int, top: int):
     """The key of each matching in ms (each bottom -> top) turned upside
     down: label x becomes total-1-x and each opener a closer, so the Dyck
-    word is complemented, then bit-reversed (``bin`` prints "0b1" and all
-    total bits, read back), and the arity field becomes top.
+    word is complemented, then bit-reversed, and the arity field becomes
+    top.  The reversal reads the word as little-endian bytes, reverses the
+    bits of each byte by one table lookup (``bytes.translate``) and reads
+    the bytes back big-endian, which reverses all 8 * width bits; the shift
+    drops the padding bits that land at the bottom.
     """
     total = bottom + top
-    mask, lead = (1 << total) - 1, 1 << total
+    mask = (1 << total) - 1
+    width = (total + 7) // 8
+    pad = 8 * width - total
+    rev, from_bytes = _REVERSED_BYTES, int.from_bytes
     for a in ms:
-        yield int(bin((a.uid >> _SHIFT) ^ mask | lead)[:2:-1] or "0", 2) << _SHIFT | top
+        word = ((a.uid >> _SHIFT) ^ mask).to_bytes(width, "little")
+        yield from_bytes(word.translate(rev), "big") >> pad << _SHIFT | top
 
 
 def matching_flip(a: CrossinglessMatching) -> CrossinglessMatching:
@@ -496,7 +511,11 @@ def halves(
 def enumerate_basis(n: int, m: int) -> tuple[CrossinglessMatching, ...]:
     """All crossingless matchings n -> m, sorted by pair list.
 
-    The sort reads ``partner``, which gives the same order (see
+    One walk over the labels in order: each label either closes the
+    innermost open arc or, while fewer than half the labels open arcs, opens
+    one; both choices write into one shared partner list and the key's
+    opener bits, and each completed walk interns one matching.  The sort
+    reads ``partner``, which gives the same order as the pair lists (see
     :class:`CrossinglessMatching`) and builds no pair tuple.
 
     Empty when n+m is odd (the Hom space is zero).  Size catalan((n+m)/2)
@@ -506,27 +525,28 @@ def enumerate_basis(n: int, m: int) -> tuple[CrossinglessMatching, ...]:
         return ()
     _check_arity(n, m)
     total = n + m
+    half = total // 2
     out: list[CrossinglessMatching] = []
     partner = [-1] * total
+    opened: list[int] = []  # the open arcs, innermost last
     bit = _BIT
 
-    def rec(points: tuple[int, ...], uid: int):
-        # pairs up points, yielding the uid of each completion
-        if not points:
-            yield uid
+    def walk(x: int, openers: int, uid: int) -> None:
+        if x == total:
+            out.append(_intern(uid, n, m, partner))
             return
-        first = points[0]
-        for idx in range(1, len(points), 2):
-            mate = points[idx]
-            partner[first] = mate
-            partner[mate] = first
-            inside = points[1:idx]
-            outside = points[idx + 1 :]
-            for inner in rec(inside, uid | bit[first]):
-                yield from rec(outside, inner)
+        if opened:
+            y = opened.pop()
+            partner[x], partner[y] = y, x
+            walk(x + 1, openers, uid)
+            opened.append(y)
+        if openers < half:
+            opened.append(x)
+            walk(x + 1, openers + 1, uid | bit[x])
+            opened.pop()
 
-    for uid in rec(tuple(range(total)), n):
-        out.append(_intern(uid, n, m, partner))
+    walk(0, 0, n)
+    del walk  # walk reaches itself through its closure: free out on return
     out.sort(key=lambda mm: mm.partner)
     return tuple(out)
 
@@ -901,7 +921,7 @@ def apply_matching_left(
     for y in range(k, k + d.top):
         if pd[y] > y:  # a cup opens at d's label y, x's label n+y-k
             top += 2
-            nums = splice_ints(nums, n + y - k, n, top, cup=True)
+            nums = splice_ints(nums, n + y - k, n, top, arcs=1)
     return _morphism_of_sums(x.ring, n, top, nums, den, scalar)
 
 
@@ -916,13 +936,23 @@ def apply_matching_right(
 
 
 def tensor_with_identity(x: TLMorphism, m: int) -> TLMorphism:
-    """x tensor id_m without materializing the identity morphism."""
+    """x tensor id_m, one O(1) key insertion per term.
+
+    The m new strands are nested arcs put in at labels b .. b+2m-1, where
+    b = x.bottom is the corner (label b+j pairs with b+2m-1-j), so this is
+    one insertion of :func:`splice_ints`: each term's key keeps its word
+    bits below b, moves the rest up by 2m and sets the m new opener bits,
+    and a partner list is built only for a matching that is not interned
+    yet.  The kill bounds carry over.
+    """
+    if m < 0:
+        raise ValueError(f"cannot pad with {m} strands")
     if m == 0:
         return x
-    idm = identity_matching(m)
+    n, k = x.bottom + m, x.top + m
+    _check_arity(n, k)
     nums, den = x.ints()
-    out = {matching_tensor(mm, idm): c for mm, c in nums.items()}
-    res = TLMorphism._from_nums(x.bottom + m, x.top + m, x.ring, out, den)
+    res = TLMorphism._from_nums(n, k, x.ring, splice_ints(nums, x.bottom, n, k, m), den)
     res._top_kill = x._top_kill
     res._bot_kill = x._bot_kill
     return res
@@ -943,11 +973,11 @@ def partial_close_right(f: TLMorphism, m: int) -> TLMorphism:
     :func:`splice_ints`, the t-th at labels n-1-t, n-t, innermost first: no
     diagram is walked, padded or composed.
     """
+    n, k = f.bottom, f.top
+    if not 0 <= m <= min(n, k):
+        raise ValueError(f"cannot close {m} strands of {n}->{k}")
     if m == 0:
         return f
-    n, k = f.bottom, f.top
-    if m > n or m > k:
-        raise ValueError(f"cannot close {m} strands of {n}->{k}")
     nums, den = f.ints()
     for t in range(1, m + 1):
         nums = splice_ints(nums, n - t, n - t, k - t)
@@ -1086,25 +1116,27 @@ def rewire_ints(ints: dict, la: int, lb: int) -> dict:
 
 
 def splice_ints(
-    ints: dict, a: int, bottom: int, top: int, cup: bool = False
+    ints: dict, a: int, bottom: int, top: int, arcs: int = 0
 ) -> dict:
-    """The int sums of a map of int coefficients spliced at labels a, a+1.
+    """The int sums of a map of int coefficients spliced at label a.
 
-    A contraction (``cup`` false) joins the strands that end at the
-    adjacent labels a and a+1 and deletes both labels; when they were
-    partners a loop closes (-2).  Two bottom labels take a cup from below,
-    two top labels a cap from above, and the corner a = n-1 (the last
-    bottom point against the last top point) closes one strand around the
-    right side.  An insertion (``cup`` true) adds a new arc at a, a+1 and
-    moves every label from a up by 2.  ``bottom`` and ``top`` are the
-    arities of the results.  Sums are keyed by the interned result matching
-    and left unnormalised.
+    A contraction (``arcs`` 0) joins the strands that end at the adjacent
+    labels a and a+1 and deletes both labels; when they were partners a
+    loop closes (-2).  Two bottom labels take a cup from below, two top
+    labels a cap from above, and the corner a = n-1 (the last bottom point
+    against the last top point) closes one strand around the right side.
+    An insertion of r = ``arcs`` > 0 nested arcs pairs the new labels
+    a+j and a+2r-1-j and moves every label from a up by 2r: one new arc
+    for r = 1, and at the corner a = n the r identity strands of
+    :func:`tensor_with_identity`.  ``bottom`` and ``top`` are the arities of
+    the results.  Sums are keyed by the interned result matching and left
+    unnormalised.
 
     As in :func:`rewire_ints`, the result's key comes from the term's key
-    in O(1): two word bits are dropped or inserted and the new pair's
-    opener bit is set (and its closer's cleared), with the arity field set
-    to ``bottom``.  A partner list is built only for a matching that is not
-    interned yet.
+    in O(1): two word bits are dropped and the new pair's opener bit is set
+    (and its closer's cleared), or 2r bits are inserted with the r openers
+    set, and the arity field is set to ``bottom``.  A partner list is built
+    only for a matching that is not interned yet.
     """
     out: dict = {}
     get = out.get
@@ -1112,15 +1144,17 @@ def splice_ints(
     bit = _BIT
     at = a + _SHIFT
     below = ((1 << at) - 1) ^ ((1 << _SHIFT) - 1)  # the key bits of labels < a
-    if cup:
-        opened = bit[a] | bottom
+    if arcs:
+        width = 2 * arcs
+        opened = ((1 << arcs) - 1) << at | bottom
+        nested = range(a + width - 1, a - 1, -1)  # partners of labels a, a+1, ...
         for m, c in ints.items():
             uid = m.uid
-            uid = (uid & below) | (uid >> at << (at + 2)) | opened
+            uid = (uid & below) | (uid >> at << (at + width)) | opened
             key = find(uid)
             if key is None:
-                lst = [y + 2 if y >= a else y for y in m.partner]
-                lst[a:a] = (a + 1, a)
+                lst = [y + width if y >= a else y for y in m.partner]
+                lst[a:a] = nested
                 key = _intern(uid, bottom, top, lst)
             out[key] = c
         return out

@@ -10,11 +10,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import wenzl
 from wenzl import tl
+from wenzl.jw import JWCache, jones_wenzl
+from wenzl.rings import QQ
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -202,15 +205,26 @@ def test_scanner_follows_calls():
 
 
 def test_single_diagram_kernels_compose_nothing():
-    # products with one diagram and strand closures are boundary splices: no
-    # path from them reaches the product kernel or the boundary walk
+    # products with one diagram, strand closures and padding are boundary
+    # splices: no path from them reaches the product kernel or the boundary walk
     source = (Path(wenzl.__file__).parent / "tl.py").read_text()
-    roots = ["apply_matching_left", "apply_matching_right", "partial_close_right"]
+    roots = [
+        "apply_matching_left", "apply_matching_right", "partial_close_right",
+        "tensor_with_identity",
+    ]
     reached = calls_reached(source, roots)
     for root in roots:
         assert "splice_ints" in reached[root]
         forbidden = {"compose", "matching_compose", "_matching_compose_walk"}
         assert reached[root] & forbidden == set(), root
+
+
+def test_padding_builds_no_tensor_product():
+    # JW_k (x) id is one key insertion per term: a cold JW_9 builds with the
+    # matching-level tensor refused, and equals the projector built without
+    with mock.patch.object(tl, "matching_tensor", side_effect=AssertionError):
+        built = jones_wenzl(9, QQ, JWCache())
+    assert built == jones_wenzl(9, QQ, JWCache())
 
 
 def budget_reads(source: str) -> dict[str, list[str]]:

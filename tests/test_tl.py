@@ -1198,6 +1198,191 @@ def test_splices_intern_exactly_their_new_results():
     assert proc.stdout.split() == [str(c) for c in (42, 42, 42, 132, 132)]
 
 
+# ---------------------------------------------------------------------------
+# Padding by key insertion, byte-table flip keys and the one-walk enumeration,
+# each against the code it replaced
+# ---------------------------------------------------------------------------
+
+
+def _tensor_with_identity_oracle(x, m):
+    """x (x) id_m by one matching_tensor per term."""
+    if m == 0:
+        return x
+    idm = identity_matching(m)
+    nums, den = x.ints()
+    out = {matching_tensor(mm, idm): c for mm, c in nums.items()}
+    return TLMorphism._from_nums(x.bottom + m, x.top + m, x.ring, out, den)
+
+
+def _padded_partner(mm, m):
+    """mm's partner tuple with m nested strands put in at label mm.bottom."""
+    b = mm.bottom
+    moved = [y + 2 * m if y >= b else y for y in mm.partner]
+    return tuple(moved[:b] + [b + 2 * m - 1 - j for j in range(2 * m)] + moved[b:])
+
+
+def _padding_inputs(ring):
+    rng = random.Random(23)
+    xs = []
+    for n in range(7):
+        for k in range(n % 2, 7, 2):
+            for _ in range(3):
+                x = random_morphism(rng, n, k, ring, max_terms=12)
+                top_killed_upto(x, k)  # verified bounds, to be carried over
+                bottom_killed_upto(x, n)
+                xs.append(x)
+    # JW_j exists over F_3 for j = 1, 2, 5
+    xs += [jones_wenzl(j, ring) for j in range(1, 7) if ring is QQ or j in (1, 2, 5)]
+    xs.append(TLMorphism.zero(3, 5, ring))
+    if ring is QQ:
+        basis = enumerate_basis(4, 4)
+        wild = TLMorphism(4, 4, QQ, {
+            mm: Fraction(j + 1, d) for j, (mm, d) in enumerate(zip(basis, WILD_DENS))
+        })
+        assert wild.den is None
+        xs.append(wild)
+    return xs
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeFieldRing(3)], ids=["Q", "F3"])
+def test_padding_matches_per_term_tensor_oracle(ring):
+    # every x: n -> k with n, k <= 6, projectors, a zero and (over Q) a
+    # pair-form morphism, padded by m <= 3 strands
+    for x in _padding_inputs(ring):
+        for m in range(4):
+            got = tensor_with_identity(x, m)
+            assert got == _tensor_with_identity_oracle(x, m)
+            assert (got.bottom, got.top) == (x.bottom + m, x.top + m)
+            assert (got._top_kill, got._bot_kill) == (x._top_kill, x._bot_kill)
+            assert_canonical(got)
+            assert sorted(mm.partner for mm in got.terms) == sorted(
+                _padded_partner(mm, m) for mm in x.terms
+            )
+            for mm in got.terms:
+                assert mm.uid == word_key(mm.bottom, mm.partner)
+    jw5 = jones_wenzl(5, ring)
+    assert tensor_with_identity(jw5, 0) is jw5
+
+
+_FRESH_PADDING = """
+from wenzl import tl
+from wenzl.tl import TLMorphism, enumerate_basis, tensor_with_identity
+
+x = TLMorphism._from_nums(6, 6, tl.QQ, {m: 1 for m in enumerate_basis(6, 6)}, 1)
+counts = []
+for m in (1, 2, 3, 2):
+    before = set(tl._INTERN)
+    out = tensor_with_identity(x, m)
+    new = set(tl._INTERN) - before
+    assert new <= {mm.uid for mm in out.terms}
+    for uid in new:  # each new pairing is planar and has the key it is under
+        mm = tl._INTERN[uid]
+        p = mm.partner
+        assert (mm.bottom, mm.top, len(p)) == (6 + m, 6 + m, 12 + 2 * m)
+        assert all(p[p[y]] == y != p[y] for y in range(len(p)))
+        assert tl._is_planar(p)
+        assert uid == sum(1 << y for y, z in enumerate(p) if z > y) << tl._SHIFT | 6 + m
+    counts.append(len(new))
+print(*counts)
+"""
+
+
+def test_padding_interns_exactly_its_new_results():
+    # a fresh process, where only Hom(6, 6) is interned: padding by m interns
+    # each padded matching once, with its partner list built on the miss,
+    # and a second padding by the same m finds them all
+    env = dict(os.environ, PYTHONPATH=str(Path(tl.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_PADDING],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["132", "132", "132", "0"]
+
+
+def _flipped_keys_by_bin(ms, bottom, top):
+    """The flipped keys by the string reversal the byte table replaced."""
+    total = bottom + top
+    mask, lead = (1 << total) - 1, 1 << total
+    for a in ms:
+        word = (a.uid >> tl._SHIFT) ^ mask | lead
+        yield int(bin(word)[:2:-1] or "0", 2) << tl._SHIFT | top
+
+
+def test_byte_table_flip_keys_match_bin_oracle():
+    # Hom spaces of every total arity mod 8, from 0 -> 0 up to the widest key
+    groups = [enumerate_basis(n, m) for n, m in small_hom_spaces(12)]
+    wide = [identity_matching(MAX_ARITY), nested_caps_matching(MAX_ARITY // 2)]
+    for total in range(40, 2 * MAX_ARITY + 1, 26):
+        n = total // 2
+        wide.append(e_matching(n // 2, n))
+        wide.append(matching_flip(right_collapse_matching(n, min(n // 3, MAX_ARITY - n))))
+    groups += [[w] for w in wide]
+    residues = set()
+    for ms in groups:
+        a = ms[0]
+        residues.add((a.bottom + a.top) % 8)
+        got = list(tl._flipped_keys(ms, a.bottom, a.top))
+        assert got == list(_flipped_keys_by_bin(ms, a.bottom, a.top))
+        assert got == [matching_flip(mm).uid for mm in ms]
+    assert residues == {0, 2, 4, 6}  # every even total, mod 8
+    assert enumerate_basis(0, 0)[0] in groups[0] and groups[0][0].uid == 0
+
+
+def _enumerate_basis_recursive(n, m):
+    """All crossingless matchings n -> m by the recursive yield-from
+    enumeration the one-walk enumeration replaced, sorted by partner."""
+    if (n + m) % 2:
+        return ()
+    total = n + m
+    out = []
+    partner = [-1] * total
+    bit = tl._BIT
+
+    def rec(points, uid):
+        if not points:
+            yield uid
+            return
+        first = points[0]
+        for idx in range(1, len(points), 2):
+            mate = points[idx]
+            partner[first] = mate
+            partner[mate] = first
+            for inner in rec(points[1:idx], uid | bit[first]):
+                yield from rec(points[idx + 1 :], inner)
+
+    for uid in rec(tuple(range(total)), n):
+        out.append(tl._intern(uid, n, m, partner))
+    out.sort(key=lambda mm: mm.partner)
+    return tuple(out)
+
+
+def test_enumeration_walk_matches_recursive_oracle():
+    # the uncached walk against the recursion, the same objects in the same
+    # order, for every Hom space with n + m <= 14
+    for n in range(15):
+        for m in range(15 - n):
+            got = enumerate_basis.__wrapped__(n, m)
+            assert got == _enumerate_basis_recursive(n, m)
+            assert len(got) == (catalan((n + m) // 2) if (n + m) % 2 == 0 else 0)
+            for mm in got:
+                assert mm.uid == word_key(n, mm.partner)
+
+
+def test_negative_strand_counts_refused():
+    jw2, jw3 = jones_wenzl(2), jones_wenzl(3)
+    with pytest.raises(ValueError):
+        partial_close_right(jw3, -1)
+    with pytest.raises(ValueError):
+        apply_jw(3, jw2, pad=-1)
+    with pytest.raises(ValueError):
+        apply_jw(-1, jw2, pad=3)
+    with pytest.raises(ValueError):
+        tensor_with_identity(jw3, -1)
+    with pytest.raises(ValueError):  # beyond the key's arity field
+        tensor_with_identity(TLMorphism.zero(MAX_ARITY - 1, MAX_ARITY - 1), 2)
+
+
 def test_through_strand_count():
     assert identity_matching(3).through_strands() == 3
     assert e_matching(1, 2).through_strands() == 0

@@ -138,13 +138,13 @@ def jones_wenzl(n: int, ring=QQ, cache: Optional[JWCache] = None) -> TLMorphism:
             ) from exc
         return cache.insert(ring, n, TLMorphism._from_nums(n, n, ring, nums, den))
 
+    if n <= 1:
+        return cache.insert(ring, n, TLMorphism.identity(n, ring))
     # rational construction, one strand at a time
     for k in range(2, n + 1):
         if cache.get(ring, k) is not None:
             continue
-        prev = cache.get(ring, k - 1)
-        if prev is None:
-            prev = jones_wenzl(k - 1, ring, cache)
+        prev = jones_wenzl(k - 1, ring, cache)
         # k x + sum_j j (x o e_{k-1} ... e_j) over k den, x = JW_{k-1} (x) id
         x, den = tensor_with_identity(prev, 1).ints()
         acc = {m: k * c for m, c in x.items()}
@@ -155,10 +155,6 @@ def jones_wenzl(n: int, ring=QQ, cache: Optional[JWCache] = None) -> TLMorphism:
         value = TLMorphism._from_nums(k, k, ring, *ring.canonical(acc, k * den))
         del x, t, acc  # the insertion scans need none of the build's sums
         cache.insert(ring, k, value)
-
-    if n <= 1:
-        value = TLMorphism.identity(n, ring)
-        return cache.insert(ring, n, value)
     return cache.get(ring, n)  # type: ignore[return-value]
 
 

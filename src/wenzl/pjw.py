@@ -17,11 +17,14 @@ an idempotent all of whose diagram coefficients are p-integral, so it
 reduces to an idempotent over F_p.
 
 Construction never multiplies two large linear combinations: projectors are
-attached with jw.apply_jw, the collapse maps are single diagrams, and the
-conjugation that builds each summand u_i = flip(p_i) o JW_i o p_i walks the
-same factor chain in reverse.  The component maps q_i = JW_i o p_i of the
-top branch collapse to plain projectors (absorption), which is detected by a
-per-diagram certificate scan rather than assumed.
+attached with jw.apply_jw and the collapse maps are single diagrams.  Each
+child is built once, complete: q_i = JW_i o p_i from its projector step, and
+the summand u_i = flip(p_i) o q_i by one walk up the parent chain that
+applies the flipped factors in reverse.  Both are kept per signature (the
+child's kind, gap and parent signature), so a summand reached from two
+primes is one object.  The q_i of the top branch collapse to plain
+projectors (absorption), which is detected by a per-diagram certificate
+scan rather than assumed; such a child takes u_i = q_i = JW_i with no walk.
 
 verify_battery checks every property the construction promises.  Each check
 reports a mode: "direct" when the identity was established by brute
@@ -81,8 +84,9 @@ class PJWTerm:
 
     ``p_map`` is the n -> i morphism of the recursion, ``q_map`` the
     projector-headed composite JW_i o p_map, and ``u`` the n -> n summand
-    flip(p_map) o JW_i o p_map.  ``kind``/``gap``/``parent`` record how the
-    term arose, which the conjugation walk and the battery reuse.
+    flip(p_map) o JW_i o p_map.  ``kind``, ``gap`` and ``parent`` record how
+    the term arose; the walk that builds a child's u reads them, the battery
+    does not.  ``sig`` keys the term's q_map and u in ``Caches.parts``.
     """
 
     i: int
@@ -114,12 +118,12 @@ class PJWDecomposition:
 
 @dataclass
 class Caches:
-    """Shared memo tables for projectors, decompositions, and their parts."""
+    """Shared memo tables: projectors, decompositions, battery reports, and
+    ``parts``, each non-projector summand's (q_map, u) by its signature."""
 
     jw: JWCache = field(default_factory=lambda: GLOBAL_JW_CACHE)
     pjw: dict[tuple[int, int], PJWDecomposition] = field(default_factory=dict)
-    q_by_sig: dict[tuple, TLMorphism] = field(default_factory=dict)
-    u_by_sig: dict[tuple, TLMorphism] = field(default_factory=dict)
+    parts: dict[tuple, tuple[TLMorphism, TLMorphism]] = field(default_factory=dict)
     reports: dict[tuple[int, int], "BatteryReport"] = field(default_factory=dict)
 
 
@@ -131,41 +135,60 @@ GLOBAL_CACHES = Caches()
 # ---------------------------------------------------------------------------
 
 
-def _flipped_collapse(i: int, m: int, pad: int):
-    """flip of right_collapse_matching(i, m), padded: (i-m+pad) -> (i+m+pad)."""
-    w = matching_flip(right_collapse_matching(i, m))
-    if pad:
-        w = matching_tensor(w, identity_matching(pad))
-    return w
+def _walk_back(
+    z: TLMorphism, kind: str, i: int, m: int, parent: Optional[PJWTerm],
+    caches: Caches,
+) -> TLMorphism:
+    """flip(p) o z, where p is the p_map of the child (kind, i) of parent.
+
+    One step per level of the parent chain, m being the level's gap: a
+    minus child's flip(p) begins with JW_i and the flipped collapse (its p
+    is JW_i o collapse o p_plus); then every level pads by m and applies
+    its parent's projector, as flip(p_plus) = flip(q_parent) (x) id_m and
+    flip(q_parent) = flip(p_parent) o JW_parent.
+    """
+    pad = 0
+    while parent is not None:
+        if kind == "minus":
+            z = apply_jw(i, z, caches.jw, pad=pad)
+            w = matching_flip(right_collapse_matching(parent.i, m))
+            if pad:
+                w = matching_tensor(w, identity_matching(pad))
+            z = apply_matching_left(w, z)
+        pad += m
+        z = apply_jw(parent.i, z, caches.jw, pad=pad)
+        kind, i, m, parent = parent.kind, parent.i, parent.gap, parent.parent
+    return z
 
 
-def _apply_flipped_p(term: PJWTerm, z: TLMorphism, pad: int, caches: Caches):
-    """(flip(term.p_map) (x) id_pad) o z, walking the factor chain."""
-    if term.kind == "adam":
-        return z
-    parent = term.parent
-    assert parent is not None
-    if term.kind == "plus":
-        return _apply_flipped_q(parent, z, pad + term.gap, caches)
-    # minus: p = JW_i o collapse o (q_parent (x) id_gap)
-    z1 = apply_jw(term.i, z, caches.jw, pad=pad)
-    z2 = apply_matching_left(_flipped_collapse(parent.i, term.gap, pad), z1)
-    return _apply_flipped_q(parent, z2, pad + term.gap, caches)
+def _child(
+    kind: str, parent: PJWTerm, m: int, p_plus: TLMorphism, lam: Fraction,
+    caches: Caches,
+) -> PJWTerm:
+    """The plus or minus child of parent, p_plus = q_parent (x) id_m.
 
-
-def _apply_flipped_q(term: PJWTerm, z: TLMorphism, pad: int, caches: Caches):
-    """(flip(term.q_map) (x) id_pad) o z = (flip(p) JW_i (x) id_pad) o z."""
-    z1 = apply_jw(term.i, z, caches.jw, pad=pad)
-    return _apply_flipped_p(term, z1, pad, caches)
-
-
-def _build_u(term: PJWTerm, caches: Caches) -> TLMorphism:
-    cached = caches.u_by_sig.get(term.sig)
-    if cached is not None:
-        return cached
-    u = _apply_flipped_p(term, term.q_map, 0, caches)
-    caches.u_by_sig[term.sig] = u
-    return u
+    A plus child whose parent is a projector and whose p_plus passes the
+    absorption certificate is JW_{i+m}: JW_{i+m} o p_plus = JW_{i+m}, and so
+    u = flip(p_plus) o JW_{i+m} o p_plus = JW_{i+m}.  Any other child looks
+    its signature up in ``caches.parts`` and on a miss builds q = JW_i o p
+    and u = flip(p) o q once.
+    """
+    i = parent.i + m if kind == "plus" else parent.i - m
+    from_projector = kind == "plus" and parent.sig == ("jw", parent.i)
+    if from_projector and absorbs_certificate(p_plus):
+        jw_i = jones_wenzl(i, QQ, caches.jw)
+        return PJWTerm(i, lam, p_plus, jw_i, jw_i, kind, m, parent, ("jw", i))
+    sig = ("+" if kind == "plus" else "-", m, parent.sig)
+    parts = caches.parts.get(sig)
+    if parts is None:
+        if kind == "plus":
+            q = apply_jw(i, p_plus, caches.jw)
+        else:
+            collapse = right_collapse_matching(parent.i, m)
+            q = apply_jw(i, apply_matching_left(collapse, p_plus), caches.jw)
+        parts = caches.parts[sig] = (q, _walk_back(q, kind, i, m, parent, caches))
+    q, u = parts
+    return PJWTerm(i, lam, p_plus if kind == "plus" else q, q, u, kind, m, parent, sig)
 
 
 def rational_pjw(
@@ -180,81 +203,20 @@ def rational_pjw(
         return got
 
     data = p_support(n, p)
-    terms: dict[int, PJWTerm] = {}
     if data.is_adam:
         jw_n = jones_wenzl(n, QQ, caches.jw)
-        term = PJWTerm(
-            i=n,
-            lam=Fraction(1),
-            p_map=TLMorphism.identity(n),
-            q_map=jw_n,
-            u=jw_n,
-            kind="adam",
-            gap=0,
-            parent=None,
-            sig=("jw", n),
-        )
-        terms[n] = term
-        dec = PJWDecomposition(n, p, terms, jw_n)
-        caches.pjw[(p, n)] = dec
+        one = TLMorphism.identity(n)
+        term = PJWTerm(n, Fraction(1), one, jw_n, jw_n, "adam", 0, None, ("jw", n))
+        dec = caches.pjw[(p, n)] = PJWDecomposition(n, p, {n: term}, jw_n)
         return dec
 
-    assert data.father is not None and data.gap is not None
     m = data.gap
-    father = rational_pjw(data.father, p, caches)
-
-    for i, parent in sorted(father.terms.items()):
-        # plus child: tensor m fresh strands onto the parent composite
-        plus_i = i + m
+    terms: dict[int, PJWTerm] = {}
+    for i, parent in sorted(rational_pjw(data.father, p, caches).terms.items()):
         p_plus = tensor_with_identity(parent.q_map, m)
-        if parent.sig == ("jw", i) and absorbs_certificate(p_plus):
-            # top branch: JW_{i+m} absorbs JW_i (x) id_m entirely
-            sig_plus = ("jw", plus_i)
-            q_plus = jones_wenzl(plus_i, QQ, caches.jw)
-        else:
-            sig_plus = ("+", m, parent.sig)
-            q_plus = caches.q_by_sig.get(sig_plus)
-            if q_plus is None:
-                q_plus = apply_jw(plus_i, p_plus, caches.jw)
-                caches.q_by_sig[sig_plus] = q_plus
-        term_plus = PJWTerm(
-            i=plus_i,
-            lam=parent.lam,
-            p_map=p_plus,
-            q_map=q_plus,
-            u=TLMorphism.zero(n, n),
-            kind="plus",
-            gap=m,
-            parent=parent,
-            sig=sig_plus,
-        )
-        term_plus.u = _build_u(term_plus, caches)
-        terms[plus_i] = term_plus
-
-        # minus child: collapse the m fresh strands back onto the parent
-        minus_i = i - m
-        assert minus_i >= 0
-        sig_minus = ("-", m, parent.sig)
-        collapse = right_collapse_matching(i, m)
-        y = apply_matching_left(collapse, p_plus)
-        q_minus = caches.q_by_sig.get(sig_minus)
-        if q_minus is None:
-            q_minus = apply_jw(minus_i, y, caches.jw)
-            caches.q_by_sig[sig_minus] = q_minus
         lam_minus = Fraction((-1) ** m * (i + 1 - m), i + 1) * parent.lam
-        term_minus = PJWTerm(
-            i=minus_i,
-            lam=lam_minus,
-            p_map=q_minus,
-            q_map=q_minus,
-            u=TLMorphism.zero(n, n),
-            kind="minus",
-            gap=m,
-            parent=parent,
-            sig=sig_minus,
-        )
-        term_minus.u = _build_u(term_minus, caches)
-        terms[minus_i] = term_minus
+        terms[i + m] = _child("plus", parent, m, p_plus, parent.lam, caches)
+        terms[i - m] = _child("minus", parent, m, p_plus, lam_minus, caches)
 
     # sum_i lam_i u_i as one int sum over a common denominator
     scaled = []

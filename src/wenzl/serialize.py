@@ -36,7 +36,7 @@ from typing import Any
 
 from .hecke import HeckeElement
 from .rings import LaurentPoly, QQ, ring_by_name
-from .tl import MAX_ARITY, TLMorphism, matching
+from .tl import TLMorphism, matching
 
 
 @contextmanager
@@ -111,8 +111,6 @@ def morphism_from_dict(d: dict[str, Any]) -> TLMorphism:
         bottom, top = d["bottom"], d["top"]
         if type(bottom) is not int or type(top) is not int:  # refuses bools too
             raise ValueError(f"arity {bottom!r}->{top!r} is not two integers")
-        if not (0 <= bottom <= MAX_ARITY and 0 <= top <= MAX_ARITY):
-            raise ValueError(f"arity {bottom}->{top} outside 0..{MAX_ARITY}")
         parse = ring.parse_ratio
         ratios = {}
         with _collector_paused():

@@ -145,8 +145,7 @@ class CrossinglessMatching:
     """
 
     __slots__ = (
-        "bottom", "top", "partner", "uid", "_halves", "_loops", "_pairs_json",
-        "__weakref__",
+        "bottom", "top", "partner", "uid", "_halves", "_loops", "_pairs_json"
     )
 
     def __init__(self, bottom: int, top: int, partner: tuple[int, ...], uid: int):
@@ -255,6 +254,8 @@ def matching(
     bit = _BIT
     uid = bottom
     for a, b in pairs:
+        if type(a) is not int or type(b) is not int:
+            raise ValueError(f"pair labels must be integers, got ({a!r}, {b!r})")
         if a == b or not (0 <= a < total and 0 <= b < total):
             raise ValueError(f"bad pair ({a}, {b})")
         if partner[a] != -1 or partner[b] != -1:
@@ -565,7 +566,8 @@ class TLMorphism:
     kernels read it through :meth:`ints`.
 
     The public constructors take ring elements, zeros and unreduced
-    residues allowed, and canonicalise them once.  When the denominators of
+    residues allowed, and canonicalise them once.  Every constructor checks
+    the arity, since a morphism with no terms has no matching to check it.  When the denominators of
     the given rationals are so unrelated that their lcm would outgrow the
     largest of them many times over (random rationals: 1500 denominators
     below 10**6 have an lcm of some 14 000 bits, and every numerator over
@@ -591,6 +593,7 @@ class TLMorphism:
         self._set(bottom, top, ring, *_canonical_of_ratios(ring, ratios))
 
     def _set(self, bottom, top, ring, nums: dict, den, dens=None) -> None:
+        _check_arity(bottom, top)  # also when there are no terms to check it
         self.bottom = bottom
         self.top = top
         self.ring = ring

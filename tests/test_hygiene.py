@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is read somewhere in it,
 every function the bench tracer wraps by name still exists, the emitter
-never reads pair tuples, the engine's hot paths build no pair text, the
-single-diagram kernels never compose, and the battery's direct/certified
-budgets are read by its one decide step."""
+never reads pair tuples, every slot of a matching or a morphism is read,
+the engine's hot paths build no pair text, the single-diagram kernels never
+compose, and the battery's direct/certified budgets are read by its one
+decide step."""
 
 import ast
 import importlib.util
@@ -133,6 +134,28 @@ def test_serializer_reads_no_pair_tuples():
     # tuple would build one per term again
     path = Path(wenzl.__file__).parent / "serialize.py"
     assert attribute_reads(path.read_text(), "pairs") == []
+
+
+def unread_slots(cls, sources: list[str]) -> list[str]:
+    """The ``__slots__`` names of cls, ``__weakref__`` aside, that no source reads."""
+    return [
+        name for name in cls.__slots__
+        if name != "__weakref__" and not any(attribute_reads(s, name) for s in sources)
+    ]
+
+
+def test_scanner_flags_unread_slots():
+    class K:
+        __slots__ = ("a", "b", "c", "__weakref__")
+
+    assert unread_slots(K, ["x.a\n", "x.b = 1\nf(y.c)\n"]) == ["b"]
+
+
+@pytest.mark.parametrize("cls", [tl.CrossinglessMatching, tl.TLMorphism],
+                         ids=["CrossinglessMatching", "TLMorphism"])
+def test_every_slot_is_read(cls):
+    # a slot that nothing reads costs every instance its bytes for nothing
+    assert unread_slots(cls, [path.read_text() for path in MODULES]) == []
 
 
 _HOT_PATHS = """

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from wenzl import pjw
-from wenzl.jw import jones_wenzl
+from wenzl.jw import JWCache, absorbs_certificate, jones_wenzl
 from wenzl.padic import p_support
 from wenzl.pjw import (
     Caches,
@@ -16,7 +16,16 @@ from wenzl.pjw import (
     verify_battery,
 )
 from wenzl.rings import QQ, min_p_valuation, p_valuation
-from wenzl.tl import TLMorphism, compose, e_matching, identity_matching
+from wenzl.tl import (
+    TLMorphism,
+    compose,
+    e_matching,
+    identity_matching,
+    matching_flip,
+    matching_tensor,
+    right_collapse_matching,
+    tensor_with_identity,
+)
 
 
 def test_lambda_fixture_3_10(caches):
@@ -96,8 +105,6 @@ def test_sandwich_scalars_small_direct(caches):
 
 
 def test_absorption_small_direct(caches):
-    from wenzl.tl import tensor_with_identity
-
     for p, n in [(2, 4), (2, 6), (3, 4), (3, 7), (5, 6)]:
         dec = rational_pjw(n, p, caches)
         data = p_support(n, p)
@@ -111,7 +118,6 @@ def test_absorption_small_direct(caches):
 def test_absorption_is_transitive_down_the_chain(caches):
     # the top level absorbs the grandfather level, not only its own father
     from wenzl.padic import father_chain
-    from wenzl.tl import tensor_with_identity
 
     # p=2, chain 6 -> 5 -> 3: checked directly against the grandfather
     assert father_chain(6, 2) == [6, 5, 3]
@@ -278,3 +284,129 @@ def test_certificates_do_not_pass_vacuously(monkeypatch):
         "reduction_idempotent",
     ]
     assert all(c.mode == "certified" for c in report.checks if c.name.startswith(BUDGETED))
+
+
+# The construction as it was written before one walk and one memo: twin
+# mutually recursive helpers walk flip(p) back, and q and u each have a
+# memo by signature.  It is the oracle of the one the module builds.
+
+
+class _OracleCaches:
+    def __init__(self):
+        self.jw = JWCache()
+        self.pjw = {}
+        self.q_by_sig = {}
+        self.u_by_sig = {}
+
+
+def _oracle_flipped_p(term, z, pad, caches):
+    """(flip(term.p_map) (x) id_pad) o z."""
+    if term.kind == "adam":
+        return z
+    parent = term.parent
+    if term.kind == "plus":
+        return _oracle_flipped_q(parent, z, pad + term.gap, caches)
+    z1 = pjw.apply_jw(term.i, z, caches.jw, pad=pad)
+    w = matching_flip(right_collapse_matching(parent.i, term.gap))
+    if pad:
+        w = matching_tensor(w, identity_matching(pad))
+    z2 = pjw.apply_matching_left(w, z1)
+    return _oracle_flipped_q(parent, z2, pad + term.gap, caches)
+
+
+def _oracle_flipped_q(term, z, pad, caches):
+    """(flip(term.q_map) (x) id_pad) o z."""
+    return _oracle_flipped_p(term, pjw.apply_jw(term.i, z, caches.jw, pad=pad), pad, caches)
+
+
+def _oracle_u(term, caches):
+    if term.sig not in caches.u_by_sig:
+        caches.u_by_sig[term.sig] = _oracle_flipped_p(term, term.q_map, 0, caches)
+    return caches.u_by_sig[term.sig]
+
+
+def _oracle_pjw(n, p, caches):
+    if (p, n) in caches.pjw:
+        return caches.pjw[p, n]
+    data = p_support(n, p)
+    if data.is_adam:
+        jw_n = jones_wenzl(n, QQ, caches.jw)
+        term = pjw.PJWTerm(n, Fraction(1), TLMorphism.identity(n), jw_n, jw_n,
+                           "adam", 0, None, ("jw", n))
+        caches.pjw[p, n] = pjw.PJWDecomposition(n, p, {n: term}, jw_n)
+        return caches.pjw[p, n]
+    m = data.gap
+    terms = {}
+    for i, parent in sorted(_oracle_pjw(data.father, p, caches).terms.items()):
+        p_plus = tensor_with_identity(parent.q_map, m)
+        if parent.sig == ("jw", i) and absorbs_certificate(p_plus):
+            sig = ("jw", i + m)
+            q_plus = jones_wenzl(i + m, QQ, caches.jw)
+        else:
+            sig = ("+", m, parent.sig)
+            if sig not in caches.q_by_sig:
+                caches.q_by_sig[sig] = pjw.apply_jw(i + m, p_plus, caches.jw)
+            q_plus = caches.q_by_sig[sig]
+        plus = pjw.PJWTerm(i + m, parent.lam, p_plus, q_plus, TLMorphism.zero(n, n),
+                           "plus", m, parent, sig)
+        plus.u = _oracle_u(plus, caches)
+        terms[i + m] = plus
+
+        sig = ("-", m, parent.sig)
+        y = pjw.apply_matching_left(right_collapse_matching(i, m), p_plus)
+        if sig not in caches.q_by_sig:
+            caches.q_by_sig[sig] = pjw.apply_jw(i - m, y, caches.jw)
+        q_minus = caches.q_by_sig[sig]
+        lam = Fraction((-1) ** m * (i + 1 - m), i + 1) * parent.lam
+        minus = pjw.PJWTerm(i - m, lam, q_minus, q_minus, TLMorphism.zero(n, n),
+                            "minus", m, parent, sig)
+        minus.u = _oracle_u(minus, caches)
+        terms[i - m] = minus
+    total = TLMorphism.zero(n, n)
+    for t in terms.values():
+        total = total.add(t.u.scale(t.lam))
+    caches.pjw[p, n] = pjw.PJWDecomposition(n, p, terms, total)
+    return caches.pjw[p, n]
+
+
+def _fields(t):
+    parent = None if t.parent is None else t.parent.i
+    return (t.i, t.lam, t.p_map, t.q_map, t.u, t.kind, t.gap, t.sig, parent)
+
+
+def test_construction_matches_the_two_helper_oracle():
+    fresh, oracle = Caches(jw=JWCache()), _OracleCaches()
+    for p in (2, 3, 5):
+        for n in range(1, 10):
+            dec, want = rational_pjw(n, p, fresh), _oracle_pjw(n, p, oracle)
+            assert sorted(dec.terms) == sorted(want.terms), (p, n)
+            for i, t in dec.terms.items():
+                assert _fields(t) == _fields(want.terms[i]), (p, n, i)
+            assert dec.total == want.total, (p, n)
+
+
+def test_construction_makes_fewer_projector_and_collapse_calls(monkeypatch):
+    # a projector child needs no walk, and a minus child whose parts are
+    # memoized needs no collapse (68 against 79 projector steps and 40
+    # against 42 collapses when written)
+    counts = {}
+    for name in ("apply_jw", "apply_matching_left"):
+        real = getattr(pjw, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(pjw, name, counted)
+
+    def calls(build, caches):
+        counts.update(apply_jw=0, apply_matching_left=0)
+        for p in (2, 3, 5):
+            for n in range(1, 11):
+                build(n, p, caches)
+        return dict(counts)
+
+    new = calls(rational_pjw, Caches(jw=JWCache()))
+    old = calls(_oracle_pjw, _OracleCaches())
+    assert new["apply_jw"] < old["apply_jw"]
+    assert new["apply_matching_left"] < old["apply_matching_left"]

@@ -285,6 +285,7 @@ _ID2 = [[0, 3], [1, 2]]
         {"bottom": 2, "top": 2, "ring": "Q", "terms": [{"pairs": [[0, 2], [1, 3]], "coeff": "1"}]},
         {"bottom": 2, "top": 2, "ring": "Q", "terms": [{"pairs": [[0, 3.0], [1, 2]], "coeff": "1"}]},
         {"bottom": 2, "top": 2, "ring": "Q", "terms": [{"pairs": [[3.0, 0], [1, 2]], "coeff": "1"}]},
+        {"bottom": 2, "top": 0, "ring": "Q", "terms": [{"pairs": [[False, True]], "coeff": "1"}]},
         {"bottom": 2, "top": 2, "ring": "Q",
          "terms": [{"pairs": [[0, 1], [2, 3]], "coeff": "1/2"},
                    {"pairs": [[0, 1], [2, 3]], "coeff": "-1/2"}]},
@@ -301,7 +302,7 @@ _ID2 = [[0, 3], [1, 2]]
          "ring_not_a_name", "pairs_not_a_list", "terms_not_a_list", "negative_arity",
          "pairs_short_of_arity", "arity_over_key_bound", "duplicate_pair_keys_smaller_arity",
          "crossing_twin_of_interned", "float_upper_label", "float_lower_label",
-         "repeated_diagram", "repeated_diagram_reversed_pairs", "float_arity",
+         "bool_labels", "repeated_diagram", "repeated_diagram_reversed_pairs", "float_arity",
          "string_arity", "bool_arity", "top_level_array", "top_level_string"],
 )
 def test_morphism_from_dict_refuses_malformed(doc):

@@ -234,6 +234,31 @@ def test_arity_bound_refused():
         matching_tensor(identity_matching(MAX_ARITY), identity_matching(1))
     widest = identity_matching(MAX_ARITY)
     assert matching_flip(widest) is widest and widest.is_identity()
+    assert TLMorphism.zero(MAX_ARITY, 0).tensor(TLMorphism.zero(0, MAX_ARITY)).is_zero()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TLMorphism.zero(-3, 5),
+        lambda: TLMorphism(300, 2, QQ, {}),
+        lambda: TLMorphism.from_ratios(-1, 7, QQ, {}),
+        lambda: TLMorphism.zero(200, 200).tensor(TLMorphism.zero(100, 100)),
+    ],
+    ids=["zero", "init", "from_ratios", "tensor"],
+)
+def test_arity_refused_without_terms(build):
+    # no matching is built to check the arity, so the morphism checks it
+    with pytest.raises(ValueError, match="arity"):
+        build()
+
+
+def test_pair_labels_must_be_ints():
+    # bools compare and index like 0 and 1, but would be kept in partner
+    for pairs in ([(False, True)], [(0, True)], [(0.0, 1)]):
+        with pytest.raises(ValueError, match="integers"):
+            matching(2, 0, pairs)
+    assert matching(2, 0, [(1, 0)]).partner == (1, 0)
 
 
 def test_key_predicates_match_partner_definitions():

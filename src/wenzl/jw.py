@@ -8,30 +8,34 @@ coefficient is positive:
     JW_{k+1} = JW_k (x) id  +  k/(k+1) * (JW_k (x) id) o e_k o (JW_k (x) id).
 
 Building projectors by that two-sided formula squares the Catalan-sized term
-count, so construction instead uses the equivalent one-new-strand expansion
+count, so construction instead uses the equivalent one-new-strand expansion,
+flipped so that the new layer acts from the top:
 
-    JW_k = (JW_{k-1} (x) id) o ( id + sum_{j<k} (j/k) e_{k-1} e_{k-2} ... e_j ),
+    JW_k = R_k o (JW_{k-1} (x) id),  R_k = id + sum_{j<k} (j/k) e_j e_{j+1} ... e_{k-1},
 
-whose right factor has only k terms.  Both produce the same element (the
+whose left factor has only k terms.  Both produce the same element (the
 test suite checks them against each other and against a brute-force solve of
 the defining linear system); every cache insertion re-verifies the defining
 properties by :func:`is_jones_wenzl`: e_i o x == 0 by n - 1 generator scans,
 and x == flip(x) by one pass, which gives x o e_i == 0 (flip fixes each e_i).
 
-Both uses of the expansion, building JW_k and applying it, run on a
-morphism's int numerators through generator rewirings (``tl.rewire_ints``):
-one O(1) splice per diagram and generator, one canonicalisation of the
-result, and no ladder diagram.
-Building walks x o e_{k-1}, x o e_{k-1} e_{k-2}, ... with one rewiring per
-step.  Applying evaluates each layer L by Horner's rule, acc <- e_j (acc +
-j cur) for j = h .. L-1, which costs L - h rewirings where one generator
-chain per ladder word would cost (L-h)(L-h+1)/2.
+Unrolled, (JW_k (x) id) o x = R_k o ... o R_{h+1} o x whenever
+e_i o x == 0 for every i < h, because then JW_h o x == x (every non-identity
+diagram of JW_h factors through such an e_i).  One kernel, :func:`_ladder`,
+applies those layers to a morphism's int numerators through generator
+rewirings (``tl.rewire_ints``): one O(1) splice per diagram and generator,
+L - 1 rewirings for layer L (each word e_j ... e_{L-1} is e_j applied to
+the one before it), one canonicalisation of the result, and no ladder
+diagram.  Building JW_k is the one layer R_k applied to JW_{k-1} (x) id,
+whose bound is k - 1.  Applying starts from the verified bound h, so its
+first layers act on the small input rather than on sums near the output's
+size.
 
 `apply_jw` composes a projector onto an arbitrary morphism without ever
 multiplying two large linear combinations: if the target is already
 annihilated by the relevant generators the projector acts as the identity,
-and otherwise the expansion layers are applied, skipping the layer terms
-that a verified annihilation bound h kills.
+and otherwise it is the direct product or the layers above the target's
+verified annihilation bound.
 """
 
 from __future__ import annotations
@@ -140,21 +144,13 @@ def jones_wenzl(n: int, ring=QQ, cache: Optional[JWCache] = None) -> TLMorphism:
 
     if n <= 1:
         return cache.insert(ring, n, TLMorphism.identity(n, ring))
-    # rational construction, one strand at a time
+    assert ring is QQ, ring  # the ladder's scalars j/k are rational
+    # one strand at a time: JW_{k-1} (x) id carries the bound k - 1, so the
+    # ladder applies the one layer R_k
     for k in range(2, n + 1):
-        if cache.get(ring, k) is not None:
-            continue
-        prev = jones_wenzl(k - 1, ring, cache)
-        # k x + sum_j j (x o e_{k-1} ... e_j) over k den, x = JW_{k-1} (x) id
-        x, den = tensor_with_identity(prev, 1).ints()
-        acc = {m: k * c for m, c in x.items()}
-        t = x
-        for j in range(k - 1, 0, -1):
-            t = rewire_ints(t, j - 1, j)  # t o e_j
-            _add_scaled(acc, j, t)
-        value = TLMorphism._from_nums(k, k, ring, *ring.canonical(acc, k * den))
-        del x, t, acc  # the insertion scans need none of the build's sums
-        cache.insert(ring, k, value)
+        if cache.get(ring, k) is None:
+            prev = jones_wenzl(k - 1, ring, cache)
+            cache.insert(ring, k, _ladder(k, tensor_with_identity(prev, 1)))
     return cache.get(ring, n)  # type: ignore[return-value]
 
 
@@ -171,13 +167,17 @@ def apply_jw(
     * direct: if x is not over Q, or the cost estimate puts the pairwise
       product with the cached projector at or below the layered one,
       compose directly;
-    * ladder: otherwise apply the one-new-strand expansion layer by layer
-      through generator rewirings (see :func:`_ladder`).
+    * ladder: otherwise apply the layers R_{h+1} .. R_k above the verified
+      bound h through generator rewirings (see :func:`_ladder`).
 
-    The estimate alone selects between the direct and the ladder path.  The
-    expansion's scalars j/layer can have p in the denominator even when
-    JW_k exists over F_p, so over F_p only the direct path is exact; it
-    raises NonInvertible when JW_k is undefined there.
+    The estimate alone selects between the direct and the ladder path.  It
+    prices the ladder as if all k - 1 layers ran on sums of Hom(bottom, top)
+    size, and it is kept so on purpose: starting from the bound made the
+    ladder cheaper without moving any call to another path, and repricing
+    both paths in kernel work is a change of its own (ROADMAP item 1).  The
+    expansion's scalars j/layer can have p in the denominator
+    even when JW_k exists over F_p, so over F_p only the direct path is
+    exact; it raises NonInvertible when JW_k is undefined there.
     """
     if k < 0 or pad < 0:
         raise ValueError(f"apply_jw: negative strand count (k={k}, pad={pad})")
@@ -202,22 +202,25 @@ def apply_jw(
 
 
 def _ladder(k: int, x: TLMorphism) -> TLMorphism:
-    """(JW_k (x) id) o x over Q, layer L = k .. 2 mapping cur to
-    (L cur + sum_{h<=j<L} j e_{L-1} ... e_j cur) / L (see the module notes).
+    """(JW_k (x) id) o x over Q as R_k o ... o R_{h+1} o x (see the module
+    notes), where h = x._top_kill is the verified bound.
 
-    The verified bound h = x._top_kill (e_i o x == 0 for i < h) makes every
-    skipped word vanish, and it drops by at most one per layer.
+    e_i o x == 0 for every i < h, so JW_h o x == x.  Layer L maps y to
+    (L y + sum_{j<L} j e_j e_{j+1} ... e_{L-1} y) / L in L - 1 rewirings:
+    w <- e_j o w for j = L-1 .. 1, each w added j times.
     """
     cur, den = x.ints()
     edge = x.bottom + x.top  # top position i-1 has label edge - i
-    h = x._top_kill
-    for layer in range(k, 1, -1):
-        acc: dict = {}
-        for j in range(max(1, h), layer):
-            acc = rewire_ints(_add_scaled(acc, j, cur), edge - j, edge - j - 1)
-        cur = _add_scaled(acc, layer, cur)
+    for layer in range(x._top_kill + 1, k + 1):
+        acc = {m: layer * c for m, c in cur.items()}
+        w = cur
+        del cur  # the layer's input goes with its first rewiring
+        for j in range(layer - 1, 0, -1):
+            w = rewire_ints(w, edge - j, edge - j - 1)  # e_j o w
+            _add_scaled(acc, j, w)
+        del w
+        cur = acc
         den *= layer
-        h = max(1, h - 1)
     return TLMorphism._from_nums(x.bottom, x.top, QQ, *QQ.canonical(cur, den))
 
 

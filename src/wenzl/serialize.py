@@ -18,11 +18,11 @@ Decomposition schema::
      "total": <morphism>}
 
 Morphisms and decompositions are written as text in one pass, exactly as
-``json.dumps`` prints the documents above: each term is one f-string
-around its matching's kept pair text (``CrossinglessMatching.pairs_json``)
-and its coefficient, so emission builds no document tree.  Indented output
-is that compact text re-printed by ``json`` with the indent, and the
-``*_to_dict`` forms are the compact text parsed back.
+``json.dumps`` prints the documents above, compact or with an indent: each
+term is one f-string around its matching's kept pair text
+(``CrossinglessMatching.pairs_json``) and its coefficient, so emission
+builds no document tree.  The ``*_to_dict`` forms are the compact text
+parsed back.
 
 Hecke elements: {"terms": [{"k": k, "coeff": {"<exponent>": coeff, ...}}]}.
 """
@@ -66,28 +66,59 @@ def _parsed(text: str) -> Any:
         return json.loads(text)
 
 
-def _indented(text: str, indent: int | None) -> str:
-    return text if indent is None else json.dumps(_parsed(text), indent=indent)
+def _breaks(indent: int | None, level: int) -> tuple[str, str, str]:
+    """The text after the opening bracket, between items and before the
+    closing bracket of a JSON container at nesting ``level``, as
+    ``json.dumps`` lays it out (an empty one is printed ``[]``)."""
+    if indent is None:
+        return "", ", ", ""
+    inner = "\n" + " " * (indent * (level + 1))
+    return inner, "," + inner, "\n" + " " * (indent * level)
 
 
-def _morphism_text(f: TLMorphism) -> str:
-    """The compact document of f.
+def _spread_pair_lists(text: str, indent: int, level: int) -> str:
+    """text with every compact pair list in it laid out at ``level``.
+
+    Four replacements over the whole text: a compact pair list is the only
+    place where "[[", "], [", ", " and "]]" occur, because coefficients are
+    digits, a sign and a slash and indented separators end in a newline.
+    """
+    o, s, c = _breaks(indent, level)
+    po, ps, pc = _breaks(indent, level + 1)
+    return (
+        text.replace("[[", "[" + o + "[" + po)
+        .replace("], [", pc + "]" + s + "[" + po)
+        .replace(", ", ps)
+        .replace("]]", pc + "]" + c + "]")
+    )
+
+
+def _morphism_text(f: TLMorphism, indent: int | None = None, level: int = 0) -> str:
+    """The document of f, compact or indented, opened at nesting ``level``.
 
     Terms are sorted by ``partner``, which gives the pair-list order without
     building pair lists (see ``tl.CrossinglessMatching``).  A matching's
-    pair text is built on its first emission and kept.  Each coefficient is
+    pair text is built on its first emission and kept; indented output
+    spreads the pair lists of all terms at once.  Each coefficient is
     printed from its numerator and denominator, with no ring element built;
     it is digits, a sign and a slash, so it needs no escaping.
     """
     ring = f.ring
     fmt = ring.format_ratio
     items = sorted(f.ratios(), key=lambda t: t[0].partner)
-    terms = ", ".join(
-        [f'{{"pairs": {m.pairs_json}, "coeff": "{fmt(a, d)}"}}' for m, a, d in items]
+    o1, s1, c1 = _breaks(indent, level)  # the document
+    o2, s2, c2 = _breaks(indent, level + 1)  # its list of terms
+    o3, s3, c3 = _breaks(indent, level + 2)  # each term
+    terms = s2.join(
+        [f'{{{o3}"pairs": {m.pairs_json}{s3}"coeff": "{fmt(a, d)}"{c3}}}' for m, a, d in items]
     )
+    if not items:
+        o2 = c2 = ""
+    elif indent is not None:
+        terms = _spread_pair_lists(terms, indent, level + 3)
     return (
-        f'{{"bottom": {f.bottom}, "top": {f.top}, "ring": {json.dumps(ring.name)}, '
-        f'"terms": [{terms}]}}'
+        f'{{{o1}"bottom": {f.bottom}{s1}"top": {f.top}{s1}"ring": {json.dumps(ring.name)}'
+        f'{s1}"terms": [{o2}{terms}{c2}]{c1}}}'
     )
 
 
@@ -130,24 +161,30 @@ def morphism_from_dict(d: dict[str, Any]) -> TLMorphism:
 
 
 def morphism_to_json(f: TLMorphism, indent: int | None = None) -> str:
-    return _indented(_morphism_text(f), indent)
+    return _morphism_text(f, indent)
 
 
 def morphism_from_json(s: str) -> TLMorphism:
     return morphism_from_dict(_parsed(s))
 
 
-def _decomposition_text(dec) -> str:
-    terms = ", ".join(
+def _decomposition_text(dec, indent: int | None = None) -> str:
+    o1, s1, c1 = _breaks(indent, 0)  # the document
+    o2, s2, c2 = _breaks(indent, 1)  # its list of terms
+    o3, s3, c3 = _breaks(indent, 2)  # each term
+    terms = s2.join(
         [
-            f'{{"i": {i}, "lambda": "{QQ.format(t.lam)}", '
-            f'"p_map": {_morphism_text(t.p_map)}, "u": {_morphism_text(t.u)}}}'
+            f'{{{o3}"i": {i}{s3}"lambda": "{QQ.format(t.lam)}"'
+            f'{s3}"p_map": {_morphism_text(t.p_map, indent, 3)}'
+            f'{s3}"u": {_morphism_text(t.u, indent, 3)}{c3}}}'
             for i, t in sorted(dec.terms.items())
         ]
     )
+    if not dec.terms:
+        o2 = c2 = ""
     return (
-        f'{{"n": {dec.n}, "p": {dec.prime}, "terms": [{terms}], '
-        f'"total": {_morphism_text(dec.total)}}}'
+        f'{{{o1}"n": {dec.n}{s1}"p": {dec.prime}{s1}"terms": [{o2}{terms}{c2}]'
+        f'{s1}"total": {_morphism_text(dec.total, indent, 1)}{c1}}}'
     )
 
 
@@ -156,7 +193,7 @@ def decomposition_to_dict(dec) -> dict[str, Any]:
 
 
 def decomposition_to_json(dec, indent: int | None = None) -> str:
-    return _indented(_decomposition_text(dec), indent)
+    return _decomposition_text(dec, indent)
 
 
 def hecke_to_dict(x: HeckeElement) -> dict[str, Any]:

@@ -1,8 +1,8 @@
 """Source hygiene: every name a module imports is read somewhere in it,
 every function the bench tracer wraps by name still exists, the emitter
 never reads pair tuples, every slot of a matching or a morphism is read,
-the engine's hot paths build no pair text, the single-diagram kernels never
-compose, and the battery's direct/certified budgets are read by its one
+the engine's hot paths build no pair text, the single-diagram kernels and
+the projector ladder never compose, and the battery's direct/certified budgets are read by its one
 decide step."""
 
 import ast
@@ -16,9 +16,10 @@ from unittest import mock
 import pytest
 
 import wenzl
-from wenzl import tl
-from wenzl.jw import JWCache, jones_wenzl
+from wenzl import jw, tl
+from wenzl.jw import JWCache, _ladder, jones_wenzl
 from wenzl.rings import QQ
+from wenzl.tl import tensor_with_identity
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -247,6 +248,21 @@ def test_padding_builds_no_tensor_product():
     # matching-level tensor refused, and equals the projector built without
     with mock.patch.object(tl, "matching_tensor", side_effect=AssertionError):
         built = jones_wenzl(9, QQ, JWCache())
+    assert built == jones_wenzl(9, QQ, JWCache())
+
+
+def test_ladder_composes_nothing():
+    # building JW_k and applying it by layers are generator rewirings only:
+    # the ladder and a cold JW_9 run with the product kernel refused
+    x = tensor_with_identity(jones_wenzl(5, QQ, JWCache()), 2)
+    x = x.add(tl.apply_e_top(6, x))
+    assert not tl.top_killed_upto(x, 7) and x._top_kill == 5
+    want = tl.compose(jones_wenzl(7, QQ, JWCache()), x)
+    with mock.patch.object(tl, "compose", side_effect=AssertionError), \
+            mock.patch.object(jw, "compose", side_effect=AssertionError):
+        got = _ladder(7, x)
+        built = jones_wenzl(9, QQ, JWCache())
+    assert got == want and not got.is_zero()
     assert built == jones_wenzl(9, QQ, JWCache())
 
 

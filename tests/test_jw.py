@@ -20,6 +20,7 @@ from wenzl.jw import (
     sandwich_test,
 )
 from wenzl.padic import lucas_jw_defined
+from wenzl.pjw import Caches, rational_pjw
 from wenzl.rings import NonInvertible, PrimeFieldRing, QQ
 from wenzl.tl import (
     TLMorphism,
@@ -35,6 +36,7 @@ from wenzl.tl import (
     matching_compose,
     matching_flip,
     matching_tensor,
+    rewire_ints,
     tensor_with_identity,
     top_killed_upto,
 )
@@ -153,6 +155,29 @@ def per_word_ladder(k: int, x: TLMorphism) -> TLMorphism:
     return cur
 
 
+def horner_ladder(k: int, x: TLMorphism, rewire=rewire_ints) -> TLMorphism:
+    """(JW_k (x) id) o x from the top layer down: layer L = k .. 2 maps cur
+    to (L cur + sum_{h<=j<L} j e_{L-1} ... e_j cur) / L by Horner's rule,
+    acc <- e_j (acc + j cur) for j = h .. L-1, where the verified bound
+    h = x._top_kill drops by one per layer.  Every layer runs."""
+    def add_scaled(acc, a, ints):
+        for m, c in ints.items():
+            acc[m] = acc.get(m, 0) + a * c
+        return acc
+
+    cur, den = x.ints()
+    edge = x.bottom + x.top  # top position i-1 has label edge - i
+    h = x._top_kill
+    for layer in range(k, 1, -1):
+        acc: dict = {}
+        for j in range(max(1, h), layer):
+            acc = rewire(add_scaled(acc, j, cur), edge - j, edge - j - 1)
+        cur = add_scaled(acc, layer, cur)
+        den *= layer
+        h = max(1, h - 1)
+    return TLMorphism._from_nums(x.bottom, x.top, QQ, *QQ.canonical(cur, den))
+
+
 @pytest.mark.parametrize("n", range(0, 9))
 def test_construction_matches_right_factor_oracle(n, jw_cache):
     assert jones_wenzl(n, QQ, jw_cache) == jw_by_right_factor(n)
@@ -167,13 +192,24 @@ def _random_rational_morphism(rng, nbot, ntop, size):
     return TLMorphism(nbot, ntop, QQ, terms)
 
 
+def _assert_ladder_oracles(k, x, jw_cache, where):
+    """The ladder against compose, the per-word ladder and the top-down one."""
+    pad = x.top - k
+    got = _ladder(k, x)
+    assert got == compose(tensor_with_identity(jones_wenzl(k, QQ, jw_cache), pad), x), where
+    assert got == per_word_ladder(k, x), where
+    assert got == horner_ladder(k, x), where
+    return got
+
+
 def test_ladder_matches_oracles(jw_cache):
-    """The Horner ladder against compose and the per-word ladder over Q.
+    """The ladder against compose, the per-word and the top-down ladder over Q.
 
     Three kinds of input: random combinations; (JW_j (x) id) o y, whose
-    verified bound h = j > 1 makes the ladder skip words; and e_i o y with
-    i < k, which JW_k annihilates, so the layers must cancel to zero.  The
-    counts at the end keep each kind, and nonzero results, represented.
+    verified bound h = j > 1 lets the ladder start at layer j + 1; and
+    e_i o y with i < k, which JW_k annihilates, so the layers must cancel to
+    zero.  The counts at the end keep each kind, and nonzero results,
+    represented.
     """
     rng = random.Random(41)
     pruned = cancelled = kept = 0
@@ -197,16 +233,74 @@ def test_ladder_matches_oracles(jw_cache):
             x = y
         if x.is_zero() or top_killed_upto(x, k):
             continue
-        want = compose(tensor_with_identity(jones_wenzl(k, QQ, jw_cache), pad), x)
-        got = _ladder(k, x)
-        assert got == want, (case, k, pad, nbot)
-        assert got == per_word_ladder(k, x), (case, k, pad, nbot)
+        got = _assert_ladder_oracles(k, x, jw_cache, (case, k, pad, nbot))
         if kind == 1:
             assert x._top_kill >= j
         pruned += x._top_kill > 1
         cancelled += got.is_zero()
         kept += not got.is_zero()
     assert min(pruned, cancelled, kept) >= 10, (pruned, cancelled, kept)
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 7])
+def test_ladder_matches_oracles_from_deep_bounds(k, jw_cache):
+    # (JW_j (x) id) o y with j = k-1 or k-2 and pad 0..3: one or two layers
+    # of the ladder run, on inputs much larger than the random ones
+    rng = random.Random(43 + k)
+    ran = 0
+    for j in (k - 1, k - 2):
+        for pad in range(4):
+            nbot = k + pad + rng.choice([-2, 0, 2])
+            y = _random_rational_morphism(rng, nbot, k + pad, 12)
+            x = apply_jw(j, y, jw_cache, pad=k + pad - j)
+            if x.is_zero() or top_killed_upto(x, k):
+                continue
+            assert x._top_kill >= j
+            _assert_ladder_oracles(k, x, jw_cache, (k, j, pad, nbot))
+            ran += 1
+    assert ran >= 2
+
+
+@pytest.fixture(scope="module")
+def walk_input():
+    """The largest ladder input of ``wenzl verify --p 3 --max-n 10``: the
+    n = 10 minus child's walk applies JW_8 (x) id_2 to 1 430 terms that
+    are verified killed by e_1 .. e_5 (bound h = 6)."""
+    seen = []
+
+    def record(k, x):
+        seen.append((k, x, x._top_kill))
+        return _ladder(k, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jw_module, "_ladder", record)
+        rational_pjw(10, 3, Caches())
+    padded = [c for c in seen if c[1].top > c[0]]  # not a build of JW_k itself
+    k, x, h = max(padded, key=lambda c: len(c[1].terms) * (c[0] - c[2]))
+    assert (k, x.top - k, x.bottom, len(x.terms), h) == (8, 2, 10, 1430, 6)
+    return k, x
+
+
+def test_ladder_matches_oracles_on_the_walk_input(walk_input, jw_cache):
+    k, x = walk_input
+    assert len(_assert_ladder_oracles(k, x, jw_cache, "walk").terms) == 16714
+
+
+def test_ladder_rewires_less_than_half_the_top_down_terms(walk_input, monkeypatch):
+    # layers R_{h+1} .. R_k from the bound up start on the small input; the
+    # top-down ladder rewires sums that are already near the output's size
+    k, x = walk_input
+    fed = {"up": 0, "down": 0}
+
+    def counting(side):
+        def rewire(ints, la, lb):
+            fed[side] += len(ints)
+            return rewire_ints(ints, la, lb)
+        return rewire
+
+    monkeypatch.setattr(jw_module, "rewire_ints", counting("up"))
+    assert _ladder(k, x) == horner_ladder(k, x, counting("down"))
+    assert 0 < 2 * fed["up"] < fed["down"], fed
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

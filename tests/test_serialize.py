@@ -116,6 +116,32 @@ def test_emission_matches_pair_list_oracle(f, indent):
     assert morphism_to_dict(f) == json.loads(_emit_oracle(f))
 
 
+def _reprinted(text, indent):
+    """The indented emitter as it was: the compact text re-printed by json."""
+    return json.dumps(json.loads(text), indent=indent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=_morphisms(), indent=st.sampled_from([0, 1, 2, 4]))
+@example(f=TLMorphism.zero(0, 0), indent=2)
+@example(f=TLMorphism.zero(3, 1, PrimeFieldRing(3)), indent=0)
+@example(f=TLMorphism.identity(0), indent=4)  # one term with no pairs
+@example(f=_pair_form_example(), indent=1)
+def test_indented_emission_matches_reprinted_compact_text(f, indent):
+    assert morphism_to_json(f, indent=indent) == _reprinted(morphism_to_json(f), indent)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_indented_decomposition_matches_reprinted_compact_text(p, caches):
+    from wenzl.pjw import PJWDecomposition, rational_pjw
+
+    empty = PJWDecomposition(n=0, prime=p, terms={}, total=TLMorphism.zero(0, 0))
+    for dec in [empty] + [rational_pjw(n, p, caches) for n in range(1, 9)]:
+        text = decomposition_to_json(dec)
+        for indent in (0, 1, 2, 4):
+            assert decomposition_to_json(dec, indent=indent) == _reprinted(text, indent)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_decomposition_emission_matches_oracle(p, caches):
     from wenzl.pjw import rational_pjw

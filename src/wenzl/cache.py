@@ -3,8 +3,8 @@
 Values are stored as the canonical JSON next to a manifest of sha256
 digests.  Loading re-checks the digest and then re-runs the quick defining
 checks (``jw.is_jones_wenzl`` for projectors, as at insertion: identity
-coefficient 1, the n - 1 top generator scans, and one flip-symmetry pass
-that stands for the bottom scans; the identity coefficient, closure value,
+coefficient 1, floor(n/2) top generator scans plus flip and mirror passes,
+which stand for the other scans; the identity coefficient, closure value,
 and p-integrality, or the field's prime over F_p, for decomposition
 totals), so a corrupted or tampered file surfaces as CacheIntegrityError
 rather than as wrong math.  Trust, but verify.

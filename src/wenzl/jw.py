@@ -16,8 +16,10 @@ flipped so that the new layer acts from the top:
 whose left factor has only k terms.  Both produce the same element (the
 test suite checks them against each other and against a brute-force solve of
 the defining linear system); every cache insertion re-verifies the defining
-properties by :func:`is_jones_wenzl`: e_i o x == 0 by n - 1 generator scans,
-and x == flip(x) by one pass, which gives x o e_i == 0 (flip fixes each e_i).
+properties by :func:`is_jones_wenzl`: floor(n/2) top scans plus flip and
+mirror passes.  The scans give e_i o x == 0 for i <= n/2; x == mu(x) for the
+left-right mirror mu, which takes e_i to e_{n-i}, gives the rest; and
+x == flip(x) gives x o e_i == 0 (flip fixes each e_i).
 
 Unrolled, (JW_k (x) id) o x = R_k o ... o R_{h+1} o x whenever
 e_i o x == 0 for every i < h, because then JW_h o x == x (every non-identity
@@ -50,6 +52,7 @@ from .tl import (
     enumerate_basis,
     flip_symmetric,
     matching_flip,
+    mirror_symmetric,
     partial_close_right,
     rewire_ints,
     tensor_with_identity,
@@ -62,22 +65,30 @@ class JWVerificationError(RuntimeError):
 
 
 def is_jones_wenzl(x: TLMorphism, n: int) -> bool:
-    """The defining checks of JW_n: identity coefficient 1, e_i o x == 0 for
-    1 <= i < n (n - 1 scans), and x == flip(x) (one pass), cheapest first.
+    """The defining checks of JW_n: identity coefficient 1, x == flip(x)
+    (one pass), e_i o x == 0 for 1 <= i <= n // 2 (the top scans), and
+    x == mu(x) (one pass), in that order.
 
     flip reverses products and fixes each e_i, so x o e_i == flip(e_i o x)
     == 0 is recorded without a bottom scan; a value whose bottom bound is
-    known skips the pass.  Over any commutative ring this accepts what the
-    two-sided checks did: with z = flip(x), every non-identity diagram has an
-    adjacent arc on each side, and e_j o x == 0 gives cap_j o x == 0 (snake
-    identity), so z o x == x and z o x == z.
+    known skips the pass.  The mirror mu is an automorphism with
+    mu(e_i) == e_{n-i}, so e_{n-i} o x == mu(e_i o x) == 0 and the scans of
+    the lower half stand for the rest; a value whose top bound is known
+    skips both.  Over any commutative ring this accepts what the two-sided
+    checks did: with z = flip(x), every non-identity diagram has an adjacent
+    arc on each side, and e_j o x == 0 gives cap_j o x == 0 (snake
+    identity), so z o x == x and z o x == z; and JW_n, being unique, is
+    fixed by mu.
     """
     if x.identity_coefficient() != x.ring.one:
         return False
     if x._bot_kill < n and not flip_symmetric(x):
         return False
-    if not top_killed_upto(x, n):
+    if x._top_kill < n and not (
+        top_killed_upto(x, n // 2 + 1) and mirror_symmetric(x)
+    ):
         return False
+    x._top_kill = max(x._top_kill, n)
     x._bot_kill = max(x._bot_kill, n)
     return True
 
@@ -85,10 +96,10 @@ def is_jones_wenzl(x: TLMorphism, n: int) -> bool:
 class JWCache:
     """Memoized projectors keyed by (ring name, n).
 
-    Every value passes :func:`is_jones_wenzl` (top scans, and a flip pass
-    that stands for the bottom scans) before insertion.  Re-inserting an
-    equal value is harmless, so concurrent readers and writers only ever see
-    verified entries.
+    Every value passes :func:`is_jones_wenzl` (floor(n/2) top scans plus
+    flip and mirror passes, which stand for the other scans) before
+    insertion.  Re-inserting an equal value is harmless, so concurrent
+    readers and writers only ever see verified entries.
     """
 
     def __init__(self):

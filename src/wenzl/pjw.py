@@ -428,8 +428,17 @@ def verify_battery(
             "kill-classification + trace",
         )
 
-    # component idempotence and orthogonality
+    # component idempotence and orthogonality.  flip reverses products, so
+    # for flip-symmetric u_i, u_j the product u_j o u_i is flip(u_i o u_j):
+    # one flip pass per u, kept, stands for the second product
     scaled = [(i, t.u.scale(t.lam)) for i, t in items]  # lambda_i u_i, once each
+    symmetric: dict[int, bool] = {}
+
+    def flip_pass(i, u):
+        if i not in symmetric:
+            symmetric[i] = flip_symmetric(u)
+        return symmetric[i]
+
     for (i, ui), (j, uj) in combinations_with_replacement(scaled, 2):
         cost = len(ui.terms) * len(uj.terms)
         if i == j:
@@ -444,7 +453,8 @@ def verify_battery(
             decide(
                 f"orthogonal[{i},{j}]",
                 cost,
-                lambda: compose(ui, uj).is_zero() and compose(uj, ui).is_zero(),
+                lambda: flip_pass(i, ui) and flip_pass(j, uj)
+                and compose(ui, uj).is_zero(),
                 lambda: passed[f"sandwich[{i},{j}]"],
                 "follows from the mixed sandwich",
             )
@@ -460,7 +470,8 @@ def verify_battery(
         "sum of orthogonal idempotents",
     )
 
-    # absorption against the father level
+    # absorption against the father level; with the total and grown
+    # flip-symmetric, grown o total is the flip of total o grown
     if not data.is_adam:
         fdec = rational_pjw(data.father, p, caches)
         freport = verify_battery(fdec, caches)
@@ -468,8 +479,8 @@ def verify_battery(
         decide(
             "absorption",
             len(dec.total.terms) * len(grown.terms),
-            lambda: compose(dec.total, grown) == dec.total
-            and compose(grown, dec.total) == dec.total,
+            lambda: passed["flip_invariant"] and flip_symmetric(grown)
+            and compose(dec.total, grown) == dec.total,
             lambda: freport.ok
             and all(passed[f"head_annihilation[{i}]"] for i in index),
             "father battery + head annihilation + scalar recursion",

@@ -93,7 +93,10 @@ generator-annihilation scans test the int sums of each rewiring of x's
 numerators, up to the first sum that is nonzero in the ring.  The scans sum
 under the rewired int keys and look no matching up.  The flip-symmetry
 check (:func:`flip_symmetric`) likewise compares numerators under flipped
-keys.
+keys, and the mirror-symmetry check (:func:`mirror_symmetric`) under
+mirrored ones, each half of a mirrored key read from a per-call table of
+mirrored half-words.  So a projector JW_n is verified by floor(n/2) top
+scans plus flip and mirror passes.
 """
 
 from __future__ import annotations
@@ -1280,6 +1283,66 @@ def flip_symmetric(x: TLMorphism) -> bool:
     nums = x.ints()[0]
     get, interned = nums.get, _INTERN.get
     for c, uid in zip(nums.values(), _flipped_keys(nums, n, n)):
+        if get(interned(uid), 0) != c:
+            return False
+    return True
+
+
+def _mirrored_keys(ms: Iterable[CrossinglessMatching], bottom: int, top: int):
+    """The key of each matching in ms (each bottom -> top) reflected left to
+    right (mu): bottom label y becomes bottom-1-y and top label y becomes
+    2 bottom + top - 1 - y, so mu(e_i o x) == e_{top-i} o mu(x).
+
+    Each half of the mirrored Dyck word depends only on the same half of the
+    word.  Bottom bit bottom-1-y is set iff label y is not an opener closed
+    inside the bottom half (scanning leftwards, an opener with a closer
+    pending to its right closes there; any other is a through strand).  Top
+    bit top-1-y is set iff label bottom+y closes an arc inside the top half
+    (scanning rightwards, a closer with an opener pending).  So each distinct
+    half-word is mirrored once per call and each key costs two lookups.
+    """
+    mask = (1 << bottom) - 1
+    lows: dict = {}  # bottom half-word -> mirrored bottom half-word
+    highs: dict = {}  # top half-word -> mirrored top half-word, in place
+    for m in ms:
+        word = m.uid >> _SHIFT
+        lo, hi = word & mask, word >> bottom
+        a = lows.get(lo)
+        if a is None:
+            a = pending = 0
+            for y in range(bottom - 1, -1, -1):
+                if not lo >> y & 1:
+                    pending += 1
+                elif pending:
+                    pending -= 1
+                    continue
+                a |= 1 << (bottom - 1 - y)
+            lows[lo] = a
+        b = highs.get(hi)
+        if b is None:
+            b = pending = 0
+            for y in range(top):
+                if hi >> y & 1:
+                    pending += 1
+                elif pending:
+                    pending -= 1
+                    b |= 1 << (bottom + top - 1 - y)
+            highs[hi] = b
+        yield (a | b) << _SHIFT | bottom
+
+
+def mirror_symmetric(x: TLMorphism) -> bool:
+    """True iff x == mu(x), the left-right reflection, in one pass over x's
+    terms and no morphism.
+
+    Each term's coefficient is compared with that of its mirrored matching,
+    looked up in the intern table by its mirrored key
+    (:func:`_mirrored_keys`); a key that is not interned is in no morphism.
+    On TL_n, mu is the automorphism taking e_i to e_{n-i}.
+    """
+    nums = x.ints()[0]
+    get, interned = nums.get, _INTERN.get
+    for c, uid in zip(nums.values(), _mirrored_keys(nums, x.bottom, x.top)):
         if get(interned(uid), 0) != c:
             return False
     return True

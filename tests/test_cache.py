@@ -14,7 +14,7 @@ from wenzl.cache import CacheIntegrityError, DiskCache
 from wenzl.jw import jones_wenzl
 from wenzl.pjw import rational_pjw, reduce_pjw
 from wenzl.rings import QQ
-from wenzl.tl import TLMorphism, matching_flip
+from wenzl.tl import TLMorphism, matching_flip, tensor_with_identity
 
 
 @pytest.fixture
@@ -57,6 +57,17 @@ def test_tampered_jw_refused(tmp_path, value):
     cache.store_morphism("jw", 0, 3, value)
     with pytest.raises(CacheIntegrityError, match="defining checks"):
         cache.load_morphism("jw", QQ.name, 0, 3)
+
+
+def test_padded_jw_refused(tmp_path):
+    # JW_7 (x) id passes every check but the mirror pass: identity
+    # coefficient 1, flip-symmetric, killed by e_1 .. e_4 (not by e_7)
+    cache = DiskCache(tmp_path)
+    cache.store_morphism("jw", 0, 8, jones_wenzl(8))
+    # rewritten in place, the manifest's digest updated with it
+    cache.store_morphism("jw", 0, 8, tensor_with_identity(jones_wenzl(7), 1))
+    with pytest.raises(CacheIntegrityError, match="defining checks"):
+        DiskCache(tmp_path).load_morphism("jw", QQ.name, 0, 8)
 
 
 def test_malformed_entry_refused(tmp_path, reduced):

@@ -31,11 +31,15 @@ from wenzl.tl import (
     compose,
     e_matching,
     enumerate_basis,
+    first_unkilled,
+    flip_symmetric,
     identity_matching,
     markov_trace,
     matching_compose,
     matching_flip,
+    matching,
     matching_tensor,
+    mirror_symmetric,
     rewire_ints,
     tensor_with_identity,
     top_killed_upto,
@@ -581,28 +585,85 @@ def test_both_checks_accept_jw(ring, jw_cache):
         assert _both_predicates(jones_wenzl(n, ring, jw_cache), n) == (True, True)
 
 
+def _mirrored(m):
+    """The matching m: n -> n reflected left to right (e_i <-> e_{n-i})."""
+    n = m.bottom
+
+    def mu(y):
+        return n - 1 - y if y < n else 3 * n - 1 - y
+
+    return matching(n, n, [(mu(a), mu(b)) for a, b in m.pairs])
+
+
 def test_both_checks_refuse_a_changed_jw8(jw_cache):
     jw8 = jones_wenzl(8, QQ, jw_cache)
     nums, den = jw8.ints()
     ident = identity_matching(8)
     asym = next(m for m in nums if matching_flip(m) is not m)
     sym = next(m for m in nums if m is not ident and matching_flip(m) is m)
-    for m in (ident, asym, sym):
+    # flip-fixed diagrams that the mirror moves, and one it fixes: changed
+    # by mirror pairs, only the half scans can catch these
+    moved = next(m for m in nums if matching_flip(m) is m and _mirrored(m) is not m)
+    fixed = next(
+        m for m in nums
+        if m is not ident and matching_flip(m) is m and _mirrored(m) is m
+    )
+    cases = [((ident,), False), ((asym,), False), ((sym,), False),
+             ((moved, _mirrored(moved)), True), ((fixed,), True)]
+    for ms, only_scans in cases:
         changed = dict(nums)
-        changed[m] += den
+        for m in ms:
+            changed[m] += den
         x = TLMorphism._from_nums(8, 8, QQ, *QQ.canonical(changed, den))
-        assert _both_predicates(x, 8) == (False, False), m
+        assert _both_predicates(x, 8) == (False, False), ms
+        if only_scans:
+            assert flip_symmetric(x) and mirror_symmetric(x)
+            assert first_unkilled(_fresh(x), 1, 5) < 5
 
 
 def test_flip_pass_rejects_on_its_own(monkeypatch):
-    # with the top scans waved through, only the flip pass can refuse
+    # with the top scans and the mirror pass waved through, only the flip
+    # pass can refuse
     monkeypatch.setattr(jw_module, "top_killed_upto", lambda x, k: True)
+    monkeypatch.setattr(jw_module, "mirror_symmetric", lambda x: True)
     e1e2, _ = matching_compose(e_matching(1, 3), e_matching(2, 3))
     assert matching_flip(e1e2) is not e1e2
     asym = TLMorphism.identity(3).add(TLMorphism.from_matching(e1e2))
     assert asym.identity_coefficient() == QQ.one
     assert not is_jones_wenzl(asym, 3)
     assert is_jones_wenzl(TLMorphism.identity(3), 3)  # flip-symmetric
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_mirror_pass_rejects_on_its_own(n, jw_cache):
+    # JW_{n-1} (x) id has identity coefficient 1, is flip-symmetric and is
+    # killed by e_1 .. e_{n//2}, but not by e_{n-1}: only the mirror pass
+    # can refuse it, with or without the kill bounds the padding carries
+    x = tensor_with_identity(jones_wenzl(n - 1, QQ, jw_cache), 1)
+    assert x.identity_coefficient() == QQ.one and flip_symmetric(x)
+    assert first_unkilled(_fresh(x), 1, n // 2 + 1) == n // 2 + 1
+    assert not mirror_symmetric(x)
+    assert _both_predicates(x, n) == (False, False)
+    assert x._top_kill == n - 1 and not is_jones_wenzl(x, n)
+
+
+def test_insertion_scans_only_the_lower_half(monkeypatch):
+    # a cold JW_10: each JW_k is scanned by e_1 .. e_{k//2} at insertion,
+    # and the mirror and flip passes record both bounds as k
+    scans = []
+    scan = tl_module.first_unkilled
+
+    def recording(x, start, stop):
+        scans.append((x.top, start, stop))
+        return scan(x, start, stop)
+
+    monkeypatch.setattr(tl_module, "first_unkilled", recording)
+    fresh = JWCache()
+    jones_wenzl(10, QQ, fresh)
+    assert scans == [(k, 1, k // 2 + 1) for k in range(2, 11)]
+    for k in range(2, 11):
+        jw = fresh.get(QQ, k)
+        assert jw._top_kill == jw._bot_kill == k
 
 
 @pytest.fixture

@@ -268,6 +268,58 @@ def test_each_budgeted_check_decides_both_ways(monkeypatch, caches, budget, mode
             assert all(c.mode == "direct" for c in default[p, n].checks)
 
 
+def _both_products(dec, name, caches):
+    """The direct orthogonal and absorption checks as two products each,
+    as they were before a flip pass stood for the second product."""
+    if name == "absorption":
+        data = p_support(dec.n, dec.prime)
+        father = rational_pjw(data.father, dec.prime, caches)
+        grown = tensor_with_identity(father.total, data.gap)
+        return (compose(dec.total, grown) == dec.total
+                and compose(grown, dec.total) == dec.total)
+    i, j = map(int, name[len("orthogonal["):-1].split(","))
+    ui = dec.terms[i].u.scale(dec.terms[i].lam)
+    uj = dec.terms[j].u.scale(dec.terms[j].lam)
+    return compose(ui, uj).is_zero() and compose(uj, ui).is_zero()
+
+
+def _one_product_checks(report):
+    return [
+        c for c in report.checks
+        if c.mode == "direct" and c.name.startswith(("orthogonal[", "absorption"))
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_one_product_checks_match_the_two_product_oracle(caches, p):
+    seen = set()
+    for n in range(1, 10):
+        dec = rational_pjw(n, p, caches)
+        report = verify_battery(dec, caches)
+        assert report.ok
+        redone = {c.name: _both_products(dec, c.name, caches)
+                  for c in _one_product_checks(report)}
+        seen.update(name.split("[")[0] for name in redone)
+        got = [(c.name, c.n, c.passed, c.mode, c.detail) for c in report.checks]
+        want = [(c.name, c.n, redone.get(c.name, c.passed), c.mode, c.detail)
+                for c in report.checks]
+        assert got == want
+    assert seen == {"orthogonal", "absorption"}
+
+
+def test_one_product_checks_need_the_flip_passes(monkeypatch):
+    # a flip pass stands for each second product: without it they fail
+    monkeypatch.setattr(pjw, "flip_symmetric", lambda x: False)
+    for p in (2, 3, 5):
+        for n in range(1, 8):
+            fresh = Caches()
+            report = verify_battery(rational_pjw(n, p, fresh), fresh)
+            checked = _one_product_checks(report)
+            assert [c.name for c in report.failures()] == ["flip_invariant"] + [
+                c.name for c in checked
+            ]
+
+
 def test_certificates_do_not_pass_vacuously(monkeypatch):
     monkeypatch.setattr(pjw, "DIRECT_BUDGET_Q", 0)
     monkeypatch.setattr(pjw, "DIRECT_BUDGET_FP", 0)

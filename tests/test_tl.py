@@ -44,6 +44,7 @@ from wenzl.tl import (
     _matching_compose_walk,
     matching_flip,
     matching_tensor,
+    mirror_symmetric,
     nested_caps_matching,
     partial_close_right,
     rewire_ints,
@@ -428,6 +429,51 @@ def test_flip_builds_new_matchings_on_a_miss():
     assert proc.returncode == 0, proc.stderr
     misses = sum(catalan((n + m) // 2) for n, m in small_hom_spaces(12) if m > n)
     assert int(proc.stdout) == misses
+
+
+def _mirror_oracle(x):
+    """The matching x reflected left to right, rebuilt from its partners:
+    bottom label y -> bottom-1-y, top label y -> 2 bottom + top - 1 - y."""
+    n, m = x.bottom, x.top
+
+    def mu(y):
+        return n - 1 - y if y < n else 2 * n + m - 1 - y
+
+    return matching(n, m, [(mu(a), mu(b)) for a, b in x.pairs])
+
+
+def _mirror(f):
+    return TLMorphism(f.bottom, f.top, f.ring, {_mirror_oracle(m): c for m, c in f.items()})
+
+
+def test_mirror_key_matches_rebuilt_partner_oracle():
+    for n in range(9):
+        for x in enumerate_basis(n, n):
+            y = _mirror_oracle(x)
+            (key,) = tl._mirrored_keys([x], n, n)
+            assert key == y.uid == word_key(n, y.partner), x
+            assert _mirror_oracle(y) is x
+            # on TL_n the mirror takes e_i o x to e_{n-i} o mu(x)
+            for i in range(1, n):
+                ex = matching_compose(e_matching(i, n), x)
+                mex = matching_compose(e_matching(n - i, n), y)
+                assert _mirror_oracle(ex[0]) is mex[0] and ex[1] == mex[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mirror_symmetric_is_equality_with_the_mirror(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    parity = data.draw(st.integers(0, 1))
+    arity = st.sampled_from([a for a in range(9) if a % 2 == parity])
+    n, m = data.draw(arity), data.draw(arity)
+    if ring is QQ and data.draw(st.booleans()):  # the pair form
+        f = TLMorphism(n, m, ring, data.draw(raw_maps(n, m, ring, wild=True)))
+    else:
+        f = data.draw(morphisms(n, m, ring))
+    assert mirror_symmetric(f) == (_mirror(f) == f), f
+    sym = f.add(_mirror(f))
+    assert mirror_symmetric(sym) and _mirror(sym) == sym
 
 
 def test_associativity_and_interchange():
